@@ -21,11 +21,11 @@ from fractions import Fraction
 from .constructions import (CATALOG_NAMES, bifurcus_build, bifurcus_verify,
                             catalog, load_staged, staged_to_dict, staged_to_json)
 from .errors import DomainError, PuiseuxError, ResourceCapError
-from .factorization import element_elasticity, factorizations, length_set
+from .factorization import default_cap, element_elasticity, factorizations, length_set
 from .invariants import (bf_ff_status, decompose_stable_unstable, density_witness,
                          elasticity_set, elasticity_witnesses, monoid_elasticity,
                          shifted_lengths)
-from .monoid import classify_stability, contains, elements_up_to, truncate
+from .monoid import classify_stability, contains, sweep, truncate
 from .rationals import format_rational, parse_rational
 from .specfile import NumeratorExpr, load_spec, spec_to_json
 
@@ -302,12 +302,13 @@ def _cmd_verify_bifurcus(args) -> int:
     return 0 if report.passed else 1
 
 
-def _plot_marker(tm, x: Fraction, members: set) -> str:
-    if x.denominator == 1:
+def _plot_marker(tm, v: int, table: dict) -> str:
+    D = tm.denom_lcm
+    if v % D == 0:
         return "integer-element"
-    for a in tm.atoms:
-        r = x - a
-        if r > 0 and r.denominator == 1 and r in members:
+    for s in tm.scaled_gens:
+        r = v - s
+        if r > 0 and r % D == 0 and r in table:
             return "shifted-element"
     return "other"
 
@@ -317,25 +318,26 @@ def _cmd_plot(args) -> int:
     header = "element,elasticity,marker" + (",approx" if args.decimal else "")
     rows = [header]
     try:
-        elems = elements_up_to(tm, args.bound)
+        table = sweep(tm, args.bound)
     except ResourceCapError:
         rows.append("capped,,element enumeration exhausted the work budget")
         _emit("\n".join(rows) + "\n")
         return 1
-    members = set(elems)
+    cap = args.cap  # PUISEUX_CAP is read only once a nonzero element is checked
     capped_at = None
-    for x in elems:
-        if x == 0:
+    for v, (lo, hi, count) in table.items():
+        if v == 0:
             continue
-        try:
-            rho = element_elasticity(tm, x, cap=args.cap)
-        except ResourceCapError:
-            capped_at = x
+        if cap is None:
+            cap = default_cap()
+        if count > cap:
+            capped_at = tm.unscale(v)
             break
-        if rho == 1 and not args.all:
+        if lo == hi and not args.all:
             continue
-        row = (f"{format_rational(x)},{format_rational(rho)},"
-               f"{_plot_marker(tm, x, members)}")
+        rho = Fraction(hi, lo)
+        row = (f"{format_rational(tm.unscale(v))},{format_rational(rho)},"
+               f"{_plot_marker(tm, v, table)}")
         if args.decimal:
             row += f",{float(rho)!r}"
         rows.append(row)

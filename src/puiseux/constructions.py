@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, SpecValidationError
-from .monoid import TruncatedMonoid, elements_up_to, from_generators
+from .monoid import TruncatedMonoid, elements_up_to, from_generators, sweep
 from .primes import PrimeFilter, next_prime_at_least
 from .rationals import format_rational, parse_rational
 from .specfile import GeneratorFamily, Metadata, MonoidSpec, NumeratorExpr
@@ -169,10 +169,10 @@ def _pair_sums(tm: TruncatedMonoid) -> set[Fraction]:
 
 
 def _reducibles(tm: TruncatedMonoid, bound, budget=None) -> list[Fraction]:
-    """Nonzero non-atom members up to bound, ascending."""
-    atoms = set(tm.atoms)
-    return [x for x in elements_up_to(tm, bound, budget=budget)
-            if x != 0 and x not in atoms]
+    """Nonzero non-atom members up to bound, ascending: exactly the
+    elements whose shortest factorization has two or more atoms."""
+    return [tm.unscale(v) for v, (lo, _hi, _n) in sweep(tm, bound, budget).items()
+            if lo >= 2]
 
 
 def bifurcus_build(num_stages: int, value_bound, budget=None) -> StagedMonoid:
@@ -195,8 +195,9 @@ def bifurcus_build(num_stages: int, value_bound, budget=None) -> StagedMonoid:
     used: set[int] = set()
     for j in range(1, num_stages + 1):
         prev = stages[-1]
+        sums = _pair_sums(prev)
         missing = [x for x in _reducibles(prev, bound, budget=budget)
-                   if x not in _pair_sums(prev)]
+                   if x not in sums]
         if not missing:
             warnings.warn(f"stage {j}: every reducible element up to "
                           f"{format_rational(bound)} already splits into two atoms; "
@@ -309,16 +310,38 @@ def staged_to_json(sm: StagedMonoid) -> str:
     return json.dumps(staged_to_dict(sm), indent=2, sort_keys=True) + "\n"
 
 
+_PAIR_FIELDS = ("reducible", "prime", "low", "high")
+
+
+def _adjunction(entry, pos: int) -> AtomPair:
+    """One serialized adjunction record, shape-checked."""
+    if not isinstance(entry, dict) or any(k not in entry for k in _PAIR_FIELDS):
+        raise SpecValidationError(
+            f"stage {pos}: every added entry must be an object with the "
+            f"fields {', '.join(_PAIR_FIELDS)}")
+    prime = entry["prime"]
+    if not isinstance(prime, int) or isinstance(prime, bool):
+        raise SpecValidationError(f"stage {pos}: prime {prime!r} is not an integer")
+    return AtomPair(reducible=parse_rational(entry["reducible"]), prime=prime,
+                    low=parse_rational(entry["low"]),
+                    high=parse_rational(entry["high"]))
+
+
 def staged_from_dict(doc: dict, budget=None) -> StagedMonoid:
     """Rebuild a staged monoid from its serialized adjunction records,
-    revalidating the pair identities and prime constraints."""
+    revalidating the document's shape, the pair identities and the
+    prime constraints."""
     if not isinstance(doc, dict) or doc.get("schema") != STAGED_SCHEMA:
         raise SpecValidationError(
             f"staged-monoid document must declare schema {STAGED_SCHEMA}")
-    base = [parse_rational(g) for g in doc.get("base_generators", [])]
+    raw_base = doc.get("base_generators", [])
+    base = ([parse_rational(g) for g in raw_base] if isinstance(raw_base, list)
+            else None)
     if base != list(BASE_GENERATORS):
         raise SpecValidationError(
             "staged-monoid document lists unexpected base generators")
+    if "value_bound" not in doc:
+        raise SpecValidationError("staged-monoid document needs a value_bound")
     bound = parse_rational(doc["value_bound"])
     gens = list(base)
     stages = [from_generators(gens, budget=budget)]
@@ -328,14 +351,14 @@ def staged_from_dict(doc: dict, budget=None) -> StagedMonoid:
     if not isinstance(raw_stages, list):
         raise SpecValidationError("staged-monoid document needs a stages list")
     for pos, raw in enumerate(raw_stages, start=1):
+        if not isinstance(raw, dict) or not isinstance(raw.get("added", []), list):
+            raise SpecValidationError(
+                f"stage record {pos} must be an object with an added list")
         if raw.get("stage") != pos:
             raise SpecValidationError(f"stage records out of order at {pos}")
         added = []
         for entry in raw.get("added", ()):
-            pair = AtomPair(reducible=parse_rational(entry["reducible"]),
-                            prime=int(entry["prime"]),
-                            low=parse_rational(entry["low"]),
-                            high=parse_rational(entry["high"]))
+            pair = _adjunction(entry, pos)
             if pair.prime < max(PRIME_FLOOR, 2 ** pos):
                 raise SpecValidationError(
                     f"stage {pos} uses prime {pair.prime} below the stage floor")

@@ -28,10 +28,6 @@ class InsufficientMetadataError(DomainError):
 class ResourceCapError(PuiseuxError):
     """An enumeration exceeded its configured size cap."""
 
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
 
 class SpecError(PuiseuxError):
     """A monoid description file could not be used."""

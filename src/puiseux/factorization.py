@@ -8,20 +8,20 @@ number of factorizations reported is capped (PUISEUX_CAP or the cap
 argument; default 10**6) and the cap aborts with a resource error
 rather than returning silently truncated sets.
 
-length_extremes_up_to sweeps every multiplicity combination with value
-below a bound in one pass, recording the shortest and longest
-factorization per element; elasticity scans are built on it.
+length_extremes_up_to reads the shortest and longest factorization of
+every element below a bound off the coin-change table of
+monoid.sweep, without listing any factorization; elasticity scans are
+built on it.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, NotAMemberError, ResourceCapError
-from .monoid import Feasibility, TruncatedMonoid, WorkBudget, _as_budget, is_primary
+from .monoid import Feasibility, TruncatedMonoid, WorkBudget, is_primary, sweep
 from .rationals import format_rational
 
 DEFAULT_CAP = 1_000_000
@@ -139,39 +139,13 @@ def element_elasticity(tm: TruncatedMonoid, x, cap: int | None = None) -> Fracti
 def length_extremes_up_to(tm: TruncatedMonoid, bound, budget=None,
                           ) -> dict[Fraction, tuple[int, int]]:
     """Minimum and maximum factorization length for every element up to
-    bound, computed in one sweep over all multiplicity combinations.
+    bound, ascending, read off one sweep table.
 
     The budget (a step count or WorkBudget) caps the sweep; the
     per-element results agree with length_set by construction.
     """
-    f = bound if isinstance(bound, Fraction) else Fraction(bound)
-    if f < 0:
-        raise DomainError("bound must be nonnegative")
-    budget = _as_budget(budget)
-    limit = math.floor(f * tm.denom_lcm)
-    coins = tuple(sorted(tm.scaled_gens, reverse=True))
-    lo: dict[int, int] = {}
-    hi: dict[int, int] = {}
-    k = len(coins)
-
-    def rec(i: int, used: int, count: int):
-        if i == k:
-            budget.spend()
-            prev = lo.get(used)
-            if prev is None:
-                lo[used] = hi[used] = count
-            else:
-                if count < prev:
-                    lo[used] = count
-                if count > hi[used]:
-                    hi[used] = count
-            return
-        s = coins[i]
-        for c in range((limit - used) // s, -1, -1):
-            rec(i + 1, used + c * s, count + c)
-
-    rec(0, 0, 0)
-    return {tm.unscale(v): (lo[v], hi[v]) for v in sorted(lo)}
+    return {tm.unscale(v): (lo, hi)
+            for v, (lo, hi, _n) in sweep(tm, bound, budget).items()}
 
 
 @dataclass(frozen=True)

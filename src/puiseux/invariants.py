@@ -22,10 +22,10 @@ from fractions import Fraction
 
 from .errors import (DomainError, InsufficientMetadataError, NotAMemberError,
                      NotDecomposableError)
-from .monoid import (TruncatedMonoid, WorkBudget, _as_budget, classify_stability,
-                     contains, elements_up_to, from_generators, is_primary)
-from .factorization import (Factorization, default_cap, element_elasticity,
-                            factorizations, length_extremes_up_to, length_set)
+from .monoid import (TruncatedMonoid, classify_stability, contains, elements_up_to,
+                     from_generators, is_primary, sweep)
+from .factorization import factorizations, length_set
+from .primes import is_prime
 from .rationals import INFINITY, format_rational
 
 WITNESS_RULE_TRUNCATED = ("elasticity is attained exactly at the common integer "
@@ -110,8 +110,8 @@ def is_accepted(spec) -> bool | None:
 
 def elasticity_set(tm: TruncatedMonoid, bound, budget=None) -> list[Fraction]:
     """Sorted distinct elasticities of the nonzero elements up to bound."""
-    extremes = length_extremes_up_to(tm, bound, budget=budget)
-    return sorted({Fraction(hi, lo) for x, (lo, hi) in extremes.items() if x != 0})
+    pairs = {(lo, hi) for lo, hi, _n in sweep(tm, bound, budget).values() if lo}
+    return sorted({Fraction(hi, lo) for lo, hi in pairs})
 
 
 def elasticity_witnesses(tm: TruncatedMonoid, bound, budget=None) -> list[Fraction]:
@@ -121,9 +121,9 @@ def elasticity_witnesses(tm: TruncatedMonoid, bound, budget=None) -> list[Fracti
     multiple of both the smallest and the largest atom.
     """
     rho = tm.max_atom / tm.min_atom
-    extremes = length_extremes_up_to(tm, bound, budget=budget)
-    out = [x for x, (lo, hi) in sorted(extremes.items())
-           if x != 0 and Fraction(hi, lo) == rho]
+    num, den = rho.numerator, rho.denominator
+    out = [tm.unscale(v) for v, (lo, hi, _n) in sweep(tm, bound, budget).items()
+           if lo and hi * den == lo * num]
     for x in out:
         assert (x / tm.min_atom).denominator == 1, \
             f"witness {x} is not an integer multiple of the min atom"
@@ -208,7 +208,6 @@ def shifted_lengths(tm: TruncatedMonoid, x, atom, cap=None, budget=None) -> Shif
     if a not in tm.atoms:
         return ShiftReport(False, f"{format_rational(a)} is not an atom here")
     p = a.denominator
-    from .primes import is_prime
     if not is_prime(p):
         return ShiftReport(False, f"denominator {p} of the shift atom is not prime")
     for b in tm.atoms:
@@ -327,11 +326,6 @@ def _family_prime_range_contains(fam, prime: int) -> bool:
     return fam.index_end is None or pos <= fam.index_end
 
 
-def _explicit_primes(fam) -> list[int]:
-    from .primes import is_prime as _isp
-    return [g.denominator for g in fam.generators if _isp(g.denominator)]
-
-
 def _bounded_symbolic_primes(fam) -> list[int]:
     out = []
     pos = 0
@@ -350,14 +344,13 @@ def _spec_is_primary(spec) -> tuple[bool, str]:
     """Structural primarity: prime denominators everywhere, each prime
     used by exactly one generator.  Exact for this filter algebra, with
     numerator positivity/coprimality sample-checked on a prefix."""
-    from .primes import is_prime as _isp
     finite_sets = []   # (list of primes) for explicit + bounded families
     unbounded = []     # symbolic families with open ranges
     for fam in spec.families:
         if fam.kind == "explicit":
             primes = []
             for g in fam.generators:
-                if not _isp(g.denominator):
+                if not is_prime(g.denominator):
                     return False, (f"generator {format_rational(g)} has a "
                                    "non-prime denominator")
                 primes.append(g.denominator)

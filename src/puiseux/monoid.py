@@ -10,14 +10,18 @@ Atom reduction removes every generator that splits as a sum of two
 nonzero monoid elements, re-checking survivors until a fixed point;
 membership uses a depth-first search over multiplicities with gcd and
 smallest-coin pruning (lengths are bounded by x / min-atom, so the
-search is finite).  Element enumeration walks all multiplicity
-combinations with value at most the bound, which stays desk-scale even
-when D is astronomically large.
+search is finite).  Everything below a bound comes from one sweep: a
+sparse coin-change table, grown one atom at a time, that holds the
+shortest and longest factorization length and the number of
+factorizations of every element up to the bound.  The table is keyed
+by the elements themselves, so it stays desk-scale even when D is
+astronomically large.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -220,27 +224,57 @@ def contains(tm: TruncatedMonoid, x, budget=None) -> bool:
     return Feasibility(coins, _as_budget(budget)).full(t)
 
 
-def elements_up_to(tm: TruncatedMonoid, bound, budget=None) -> list[Fraction]:
-    """Every monoid element <= bound, ascending, 0 included."""
+def sweep(tm: TruncatedMonoid, bound, budget=None) -> dict[int, tuple[int, int, int]]:
+    """(min length, max length, factorization count) of every element
+    up to bound, keyed by the scaled element x*D in ascending order; 0
+    maps to (0, 0, 1).
+
+    The length recurrence L(x) = union over atoms a of (L(x - a) + 1)
+    (Barron, O'Neill and Pelayo, Math. Comp. 2017) is run as a
+    coin-change table, one coin at a time, largest first: each coin s
+    extends a copy of the table by every multiple of s that stays
+    within the bound.  One budget step is one multiplicity combination
+    of value <= bound, as if every combination were listed; the budget
+    is charged before a table entry is extended, so no table outgrows
+    it.
+    """
     f = bound if isinstance(bound, Fraction) else Fraction(bound)
     if f < 0:
         raise DomainError("bound must be nonnegative")
     budget = _as_budget(budget)
     limit = math.floor(f * tm.denom_lcm)
-    coins = tuple(sorted(tm.scaled_gens, reverse=True))
-    values: set[int] = set()
+    table = {0: (0, 0, 1)}
+    keys = [0]
+    steps = 1  # the empty combination
+    for s in sorted(tm.scaled_gens, reverse=True):
+        if s > limit:
+            continue
+        grown = table.copy()
+        for v in keys[:bisect_right(keys, limit - s)]:
+            lo, hi, cnt = table[v]
+            top = (limit - v) // s
+            steps += cnt * top
+            if steps > budget.left:
+                budget.spend(steps)  # raises
+            for _ in range(top):
+                v += s
+                lo += 1
+                hi += 1
+                old = grown.get(v)
+                if old is None:
+                    grown[v] = (lo, hi, cnt)
+                else:
+                    a, b, n = old
+                    grown[v] = (a if a < lo else lo, b if b > hi else hi, n + cnt)
+        table = grown
+        keys = sorted(table)
+    budget.spend(steps)
+    return {v: table[v] for v in keys}
 
-    def rec(i: int, used: int):
-        if i == len(coins):
-            budget.spend()
-            values.add(used)
-            return
-        s = coins[i]
-        for c in range((limit - used) // s, -1, -1):
-            rec(i + 1, used + c * s)
 
-    rec(0, 0)
-    return [tm.unscale(v) for v in sorted(values)]
+def elements_up_to(tm: TruncatedMonoid, bound, budget=None) -> list[Fraction]:
+    """Every monoid element <= bound, ascending, 0 included."""
+    return [tm.unscale(v) for v in sweep(tm, bound, budget)]
 
 
 @dataclass(frozen=True)

@@ -61,9 +61,6 @@ class _Infinity:
 
 INFINITY = _Infinity()
 
-ValuationResult = "int | _Infinity"  # documentation alias
-
-
 def canonical(numer: int, denom: int) -> Fraction:
     """Reduced nonnegative fraction numer/denom.
 

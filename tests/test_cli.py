@@ -1,8 +1,13 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from puiseux import cli
+from puiseux.factorization import factorizations
+from puiseux.monoid import elements_up_to, truncate
+from puiseux.rationals import format_rational
+from puiseux.specfile import load_spec
 
 EXPLICIT_HALF_THIRD = """
 {"schema": 1,
@@ -180,6 +185,24 @@ class TestBifurcusCommands:
                             str(staged), "--bound", "3/2")
         assert code == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda doc: doc.update(stages=[1]), "stage record 1"),
+        (lambda doc: doc["stages"][0]["added"][0].pop("prime"), "fields"),
+        (lambda doc: doc["stages"][0]["added"].append(7), "fields"),
+    ])
+    def test_verify_rejects_malformed_records(self, capsys, tmp_path, mutate,
+                                              message):
+        staged = tmp_path / "staged.json"
+        _run(capsys, "bifurcus", "--stages", "1", "--bound", "3/2",
+             "--out", str(staged))
+        doc = json.loads(staged.read_text(encoding="utf-8"))
+        mutate(doc)
+        staged.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = _run(capsys, "verify-bifurcus", "--staged",
+                              str(staged), "--bound", "3/2")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err
+
 
 class TestPlot:
     def test_header_and_integer_rows(self, capsys, tmp_path):
@@ -216,6 +239,29 @@ class TestPlot:
                             "--bound", "2", "--cap", "5")
         assert code == 1
         assert out.splitlines()[-1] == "capped,1,factorization cap exceeded"
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 5, 8])
+    def test_capped_row_at_first_element_over_the_cap(self, capsys, tmp_path, cap):
+        spec = _catalog_file(tmp_path, "factorial")
+        tm = truncate(load_spec(spec), 4)
+        first_over = next(x for x in elements_up_to(tm, Fraction(2))
+                          if len(factorizations(tm, x)) > cap)
+        code, out, _ = _run(capsys, "plot", "--spec", spec, "--depth", "4",
+                            "--bound", "2", "--cap", str(cap), "--all")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[-1] == (f"capped,{format_rational(first_over)},"
+                             "factorization cap exceeded")
+        assert Fraction(lines[-2].split(",")[0]) < first_over
+
+    def test_more_than_a_thousand_atoms(self, capsys, tmp_path):
+        gens = ", ".join(f'"{k}/1000"' for k in range(1001, 2002))
+        spec = _write(tmp_path, '{"schema": 1, "families": '
+                                f'[{{"kind": "explicit", "generators": [{gens}]}}]}}')
+        for command, expected in (("rset", "{1}\n"), ("witnesses", "{}\n"),
+                                  ("plot", "element,elasticity,marker\n")):
+            code, out, err = _run(capsys, command, "--spec", spec, "--bound", "2")
+            assert (code, out, err) == (0, expected, "")
 
 
 class TestCapControls:

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_atoms, brute_elements
+from oracles import brute_atoms, brute_elements, brute_factorizations
 from puiseux.constructions import catalog
 from puiseux.errors import (DomainError, ResourceCapError, SpecValidationError)
 from puiseux.monoid import (TruncatedMonoid, WorkBudget, classify_stability,
                             contains, elements_up_to, from_generators,
-                            is_primary, truncate)
+                            is_primary, sweep, truncate)
 from puiseux.specfile import parse_spec
 
 small_gens = st.lists(
@@ -84,6 +84,36 @@ class TestElementsUpTo:
         tm = from_generators([Fraction(1, 97), Fraction(1, 89)])
         with pytest.raises(ResourceCapError):
             elements_up_to(tm, Fraction(50), budget=WorkBudget(100))
+
+
+class TestSweep:
+    @given(st.lists(st.builds(Fraction, st.integers(1, 8), st.integers(1, 6)),
+                    min_size=2, max_size=5, unique=True),
+           st.builds(Fraction, st.integers(0, 12), st.integers(1, 4)))
+    @settings(max_examples=60, deadline=None)
+    def test_against_brute_factorizations(self, gens, bound):
+        tm = from_generators(gens)
+        table = sweep(tm, bound)
+        members = brute_elements(gens, bound)
+        assert [tm.unscale(v) for v in table] == members
+        for v, (lo, hi, count) in table.items():
+            zs = brute_factorizations(tm.atoms, tm.unscale(v))
+            lengths = [sum(z) for z in zs]
+            assert (lo, hi, count) == (min(lengths), max(lengths), len(zs))
+
+    def test_budget_is_the_leaf_count(self):
+        # 2 x 3/5 == 3 x 2/5, so the last coin extends entries of count 2
+        gens = [Fraction(1, 7), Fraction(2, 5), Fraction(3, 5)]
+        tm = from_generators(gens)
+        bound = Fraction(3)
+        leaves = sum(len(brute_factorizations(gens, x))
+                     for x in brute_elements(gens, bound))
+        budget = WorkBudget(leaves)
+        sweep(tm, bound, budget)
+        assert budget.left == 0
+        with pytest.raises(ResourceCapError,
+                           match=f"exceeded its work budget of {leaves - 1} steps"):
+            sweep(tm, bound, WorkBudget(leaves - 1))
 
 
 class TestTruncate:
