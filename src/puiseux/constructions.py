@@ -15,14 +15,13 @@ claimed invariants on the finite stages actually built.
 
 from __future__ import annotations
 
-import itertools
 import json
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, SpecValidationError
-from .monoid import TruncatedMonoid, elements_up_to, from_generators, sweep
+from .monoid import TruncatedMonoid, from_generators, sweep
 from .primes import PrimeFilter, next_prime_at_least
 from .rationals import format_rational, parse_rational
 from .specfile import GeneratorFamily, Metadata, MonoidSpec, NumeratorExpr
@@ -120,6 +119,8 @@ def catalog(name: str, depth: int = 5) -> MonoidSpec:
 
 BASE_GENERATORS = (Fraction(1, 3), Fraction(1, 2))
 PRIME_FLOOR = 13
+# 7/6 = 1/3 + 1/3 + 1/2 is the least element that is not a two-atom sum
+MIN_VALUE_BOUND = Fraction(7, 6)
 
 
 @dataclass(frozen=True)
@@ -163,9 +164,17 @@ class StagedMonoid:
         return [pair.prime for rec in self.records for pair in rec.added]
 
 
-def _pair_sums(tm: TruncatedMonoid) -> set[Fraction]:
-    return {a + b for a, b in
-            itertools.combinations_with_replacement(tm.atoms, 2)}
+def _not_split_in_two(tm: TruncatedMonoid, xs) -> list[Fraction]:
+    """The x in xs that are not a sum of two atoms of tm, tested on
+    scaled integers against one set of scaled atoms."""
+    gens = tm.scaled_gens
+    gen_set = set(gens)
+    out = []
+    for x in xs:
+        X = tm.scale(x)
+        if X is None or not any(X - A in gen_set for A in gens):
+            out.append(x)
+    return out
 
 
 def _reducibles(tm: TruncatedMonoid, bound, budget=None) -> list[Fraction]:
@@ -187,26 +196,26 @@ def bifurcus_build(num_stages: int, value_bound, budget=None) -> StagedMonoid:
     if not isinstance(num_stages, int) or isinstance(num_stages, bool) or num_stages < 1:
         raise DomainError("num_stages must be a positive integer")
     bound = value_bound if isinstance(value_bound, Fraction) else Fraction(value_bound)
-    if bound < Fraction(7, 6):
+    if bound < MIN_VALUE_BOUND:
         raise DomainError("value_bound below 7/6 leaves the first stage empty")
     gens: list[Fraction] = list(BASE_GENERATORS)
     stages = [from_generators(gens, budget=budget)]
     records: list[StageRecord] = []
-    used: set[int] = set()
+    last = 0
     for j in range(1, num_stages + 1):
         prev = stages[-1]
-        sums = _pair_sums(prev)
-        missing = [x for x in _reducibles(prev, bound, budget=budget)
-                   if x not in sums]
+        # a reducible has a length-2 factorization iff its shortest has length 2
+        missing = [prev.unscale(v) for v, (lo, _hi, _n)
+                   in sweep(prev, bound, budget).items() if lo >= 3]
         if not missing:
             warnings.warn(f"stage {j}: every reducible element up to "
                           f"{format_rational(bound)} already splits into two atoms; "
                           "nothing to add")
         added = []
+        # floors never decrease, so every prime in [floor, last] is used
         floor = max(PRIME_FLOOR, 2 ** j)
         for a in missing:
-            p = next_prime_at_least(floor, used=used)
-            used.add(p)
+            p = last = next_prime_at_least(max(floor, last + 1))
             half = a / 2
             pair = AtomPair(reducible=a, prime=p,
                             low=half - Fraction(1, p), high=half + Fraction(1, p))
@@ -262,8 +271,10 @@ def bifurcus_verify(sm: StagedMonoid, bound, budget=None) -> BifurcusVerificatio
             f"{format_rational(sm.value_bound)}; reducibles beyond the build "
             "bound were never processed")
     final = sm.final
-    nonzero = [x for x in elements_up_to(final, b, budget=budget) if x != 0]
-    min_element = nonzero[0] if nonzero else None
+    elements = iter(sweep(final, b, budget))
+    next(elements)  # 0
+    least = next(elements, None)
+    min_element = None if least is None else final.unscale(least)
     min_ok = min_element == Fraction(1, 3)
 
     final_atoms = set(final.atoms)
@@ -273,10 +284,8 @@ def bifurcus_verify(sm: StagedMonoid, bound, budget=None) -> BifurcusVerificatio
     uncovered = []
     for j in range(1, len(sm.stages)):
         prev, curr = sm.stages[j - 1], sm.stages[j]
-        sums = _pair_sums(curr)
-        for x in _reducibles(prev, b, budget=budget):
-            if x not in sums:
-                uncovered.append((j, x))
+        uncovered.extend((j, x) for x in _not_split_in_two(
+            curr, _reducibles(prev, b, budget=budget)))
     return BifurcusVerification(bound=b, min_element=min_element, min_ok=min_ok,
                                 atoms_persist_ok=atoms_persist_ok,
                                 lost_atoms=tuple(lost),
@@ -328,9 +337,13 @@ def _adjunction(entry, pos: int) -> AtomPair:
 
 
 def staged_from_dict(doc: dict, budget=None) -> StagedMonoid:
-    """Rebuild a staged monoid from its serialized adjunction records,
-    revalidating the document's shape, the pair identities and the
-    prime constraints."""
+    """Rebuild a staged monoid from its serialized adjunction records.
+
+    The document's shape, the pair identities and the prime
+    constraints are checked first.  The build is deterministic, so the
+    stage count and value bound then replay it, and every record must
+    equal the replayed one; the replayed stages are returned.
+    """
     if not isinstance(doc, dict) or doc.get("schema") != STAGED_SCHEMA:
         raise SpecValidationError(
             f"staged-monoid document must declare schema {STAGED_SCHEMA}")
@@ -343,8 +356,6 @@ def staged_from_dict(doc: dict, budget=None) -> StagedMonoid:
     if "value_bound" not in doc:
         raise SpecValidationError("staged-monoid document needs a value_bound")
     bound = parse_rational(doc["value_bound"])
-    gens = list(base)
-    stages = [from_generators(gens, budget=budget)]
     records = []
     seen_primes: set[int] = set()
     raw_stages = doc.get("stages")
@@ -366,11 +377,21 @@ def staged_from_dict(doc: dict, budget=None) -> StagedMonoid:
                 raise SpecValidationError(f"prime {pair.prime} is used twice")
             seen_primes.add(pair.prime)
             added.append(pair)
-            gens.extend((pair.low, pair.high))
         records.append(StageRecord(index=pos, added=tuple(added)))
-        stages.append(from_generators(gens, budget=budget))
-    return StagedMonoid(stages=tuple(stages), records=tuple(records),
-                        value_bound=bound)
+    if not records:
+        raise SpecValidationError("staged-monoid document has no stages")
+    if bound < MIN_VALUE_BOUND:
+        raise SpecValidationError(
+            f"value_bound {format_rational(bound)} is below "
+            f"{format_rational(MIN_VALUE_BOUND)}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sm = bifurcus_build(len(records), bound, budget=budget)
+    for rec, replayed in zip(records, sm.records):
+        if rec != replayed:
+            raise SpecValidationError(
+                f"stage {rec.index} differs from the replayed build")
+    return sm
 
 
 def staged_from_json(text: str, budget=None) -> StagedMonoid:

@@ -1,12 +1,13 @@
 """Complete factorization enumeration over a truncated monoid.
 
 A factorization of x is a multiset of atoms summing to x exactly; the
-enumerator walks atoms in descending order choosing multiplicities,
-pruning any residual the feasibility oracle rejects, so every node of
-the search either extends to a solution or dies at the oracle.  The
-number of factorizations reported is capped (PUISEUX_CAP or the cap
-argument; default 10**6) and the cap aborts with a resource error
-rather than returning silently truncated sets.
+enumerator walks atoms in descending order choosing multiplicities, on
+an explicit stack so that any number of atoms fits, and prunes any
+residual the feasibility oracle rejects, so every node of the search
+either extends to a solution or dies at the oracle.  The number of
+factorizations reported is capped (PUISEUX_CAP or the cap argument;
+default 10**6) and the cap aborts with a resource error rather than
+returning silently truncated sets.
 
 length_extremes_up_to reads the shortest and longest factorization of
 every element below a bound off the coin-change table of
@@ -94,29 +95,37 @@ def factorizations(tm: TruncatedMonoid, x, cap: int | None = None,
     coins = tuple(s for (s, _a) in pairs)
     oracle = Feasibility(coins, WorkBudget(max(limit * 50, 10_000_000)))
     found: list[Factorization] = []
-    stack: list[tuple[Fraction, int]] = []
+    path: list[tuple[Fraction, int]] = []  # (atom, multiplicity) chosen so far
+    frames: list[list[int]] = []  # level, residual, next multiplicity, len(path)
+    last = len(pairs) - 1
 
-    def rec(i: int, t: int):
+    def enter(i: int, t: int):
         s, atom = pairs[i]
-        if i == len(pairs) - 1:
-            if t % s == 0:
-                terms = stack + ([(atom, t // s)] if t else [])
-                if len(found) >= limit:
-                    raise ResourceCapError(
-                        f"more than {limit} factorizations of "
-                        f"{format_rational(f)}; raise the cap to enumerate")
-                found.append(Factorization(terms=tuple(sorted(terms))))
-            return
-        for c in range(t // s, -1, -1):
-            r = t - c * s
-            if oracle.check(i + 1, r):
-                if c:
-                    stack.append((atom, c))
-                rec(i + 1, r)
-                if c:
-                    stack.pop()
+        if i < last:
+            frames.append([i, t, t // s, len(path)])
+        elif t % s == 0:
+            terms = path + ([(atom, t // s)] if t else [])
+            if len(found) >= limit:
+                raise ResourceCapError(
+                    f"more than {limit} factorizations of "
+                    f"{format_rational(f)}; raise the cap to enumerate")
+            found.append(Factorization(terms=tuple(sorted(terms))))
 
-    rec(0, target)
+    enter(0, target)
+    while frames:
+        frame = frames[-1]
+        i, t, c, base = frame
+        if c < 0:
+            frames.pop()
+            continue
+        frame[2] = c - 1
+        s, atom = pairs[i]
+        r = t - c * s
+        if oracle.check(i + 1, r):
+            del path[base:]
+            if c:
+                path.append((atom, c))
+            enter(i + 1, r)
     if not found:
         raise NotAMemberError(f"{format_rational(f)} is not in the monoid")
     return tuple(sorted(found, key=Factorization.render))

@@ -6,16 +6,16 @@ the lcm D of the atom denominators, turning every question into exact
 integer knapsack work: x belongs to the monoid iff x*D is a
 nonnegative-integer combination of the scaled atoms.
 
-Atom reduction removes every generator that splits as a sum of two
-nonzero monoid elements, re-checking survivors until a fixed point;
-membership uses a depth-first search over multiplicities with gcd and
+Membership uses a depth-first search over multiplicities with gcd and
 smallest-coin pruning (lengths are bounded by x / min-atom, so the
-search is finite).  Everything below a bound comes from one sweep: a
-sparse coin-change table, grown one atom at a time, that holds the
-shortest and longest factorization length and the number of
-factorizations of every element up to the bound.  The table is keyed
-by the elements themselves, so it stays desk-scale even when D is
-astronomically large.
+search is finite).  Atom reduction is one pass of that search: a
+generator is dropped when it is a combination of the generators below
+it, and all the queries share one memo.  Everything below a bound
+comes from one sweep: a sparse coin-change table, grown one atom at a
+time, that holds the shortest and longest factorization length and
+the number of factorizations of every element up to the bound.  The
+table is keyed by the elements themselves, so it stays desk-scale
+even when D is astronomically large.
 """
 
 from __future__ import annotations
@@ -96,9 +96,10 @@ class Feasibility:
     fixed descending coin list, memoized on (level, residual).
 
     check(i, t) answers for the suffix coins[i:], so a factorization
-    enumerator can prune dead residuals level by level.  Recursion
-    depth is bounded by the number of coins; the multiplicity loop at
-    each level is iterative.
+    enumerator can prune dead residuals level by level.  The search is
+    depth-first over multiplicities, largest first, on an explicit
+    stack, so any number of coins fits; each memo miss costs one
+    budget step.
     """
 
     def __init__(self, coins_desc: tuple[int, ...], budget: WorkBudget):
@@ -107,56 +108,65 @@ class Feasibility:
         self.memo: dict = {}
         self.budget = budget
 
-    def check(self, i: int, t: int) -> bool:
+    def _settled(self, i: int, t: int):
+        """The answer for (i, t) when no search is needed, else None."""
         coins = self.coins
         if t == 0:
             return True
         if i == len(coins) or t < coins[-1] or t % self.gcds[i]:
             return False
-        s = coins[i]
         if i == len(coins) - 1:
-            return t % s == 0
-        key = (i, t)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
+            return t % coins[i] == 0
+        return self.memo.get((i, t))
+
+    def check(self, i: int, t: int) -> bool:
+        ok = self._settled(i, t)
+        if ok is not None:
+            return ok
+        coins, memo, settled = self.coins, self.memo, self._settled
         self.budget.spend()
-        ok = False
-        for c in range(t // s, -1, -1):
-            if self.check(i + 1, t - c * s):
-                ok = True
-                break
-        self.memo[key] = ok
-        return ok
+        stack = [[i, t, t // coins[i]]]  # level, residual, next multiplicity
+        while stack:
+            frame = stack[-1]
+            level, res, c = frame
+            if c < 0:
+                memo[level, res] = False
+                stack.pop()
+                continue
+            frame[2] = c - 1
+            r = res - c * coins[level]
+            ok = settled(level + 1, r)
+            if ok is None:
+                self.budget.spend()
+                stack.append([level + 1, r, r // coins[level + 1]])
+            elif ok:
+                for level, res, _c in stack:
+                    memo[level, res] = True
+                return True
+        return False
 
     def full(self, t: int) -> bool:
         return self.check(0, t)
 
 
 def _reduce_to_atoms(values: list[Fraction], budget: WorkBudget) -> list[Fraction]:
-    """Drop every generator expressible as a sum of two nonzero elements
-    of the monoid the values generate; iterate until stable.
+    """The values that are not a sum of two nonzero elements of the
+    monoid they generate, ascending and deduplicated.
 
-    Dropping a reducible generator never changes the monoid (its
-    witnesses only involve strictly smaller generators), so the loop is
-    a fixed-point re-check rather than a semantic necessity.
+    A generator g splits exactly when it is a nonnegative combination
+    of the generators strictly below it, so with the scaled generators
+    in descending order this is one feasibility query per generator on
+    the coins after it, all sharing one memo.
     """
-    survivors = sorted(set(values))
-    while True:
-        D = math.lcm(*(v.denominator for v in survivors))
-        coins = tuple(sorted((int(v * D) for v in survivors), reverse=True))
-        oracle = Feasibility(coins, budget)
-        keep = []
-        for g in survivors:
-            G = int(g * D)
-            reducible = any(
-                G - H > 0 and oracle.full(G - H)
-                for H in coins if H < G)
-            if not reducible:
-                keep.append(g)
-        if keep == survivors:
-            return survivors
-        survivors = keep
+    gens = sorted(set(values), reverse=True)
+    D = math.lcm(*(v.denominator for v in gens))
+    coins = tuple(int(v * D) for v in gens)
+    oracle = Feasibility(coins, budget)
+    least_sum = 2 * coins[-1]  # nothing below the sum of two generators splits
+    atoms = [g for k, g in enumerate(gens)
+             if coins[k] < least_sum or not oracle.check(k + 1, coins[k])]
+    atoms.reverse()
+    return atoms
 
 
 def from_generators(generators, origin=None, budget=None) -> TruncatedMonoid:
@@ -250,6 +260,7 @@ def sweep(tm: TruncatedMonoid, bound, budget=None) -> dict[int, tuple[int, int, 
         if s > limit:
             continue
         grown = table.copy()
+        fresh = []
         for v in keys[:bisect_right(keys, limit - s)]:
             lo, hi, cnt = table[v]
             top = (limit - v) // s
@@ -263,11 +274,13 @@ def sweep(tm: TruncatedMonoid, bound, budget=None) -> dict[int, tuple[int, int, 
                 old = grown.get(v)
                 if old is None:
                     grown[v] = (lo, hi, cnt)
+                    fresh.append(v)
                 else:
                     a, b, n = old
                     grown[v] = (a if a < lo else lo, b if b > hi else hi, n + cnt)
         table = grown
-        keys = sorted(table)
+        keys += fresh
+        keys.sort()  # merges the sorted runs
     budget.spend(steps)
     return {v: table[v] for v in keys}
 

@@ -185,10 +185,26 @@ class TestBifurcusCommands:
                             str(staged), "--bound", "3/2")
         assert code == 1 and err.startswith("error:")
 
+    def test_verify_rejects_forged_pair(self, capsys, tmp_path):
+        # 43/84 + 55/84 = 7/6 with prime 13 passes every record check;
+        # only the replayed build tells it from 79/156 + 103/156
+        staged = tmp_path / "staged.json"
+        _run(capsys, "bifurcus", "--stages", "1", "--bound", "3/2",
+             "--out", str(staged))
+        doc = json.loads(staged.read_text(encoding="utf-8"))
+        doc["stages"][0]["added"][0].update(low="43/84", high="55/84")
+        staged.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = _run(capsys, "verify-bifurcus", "--staged",
+                              str(staged), "--bound", "3/2")
+        assert code == 1 and out == ""
+        assert err == "error: stage 1 differs from the replayed build\n"
+
     @pytest.mark.parametrize("mutate, message", [
         (lambda doc: doc.update(stages=[1]), "stage record 1"),
         (lambda doc: doc["stages"][0]["added"][0].pop("prime"), "fields"),
         (lambda doc: doc["stages"][0]["added"].append(7), "fields"),
+        (lambda doc: doc.update(stages=[]), "no stages"),
+        (lambda doc: doc.update(value_bound="1"), "value_bound 1 is below 7/6"),
     ])
     def test_verify_rejects_malformed_records(self, capsys, tmp_path, mutate,
                                               message):
@@ -261,6 +277,11 @@ class TestPlot:
         for command, expected in (("rset", "{1}\n"), ("witnesses", "{}\n"),
                                   ("plot", "element,elasticity,marker\n")):
             code, out, err = _run(capsys, command, "--spec", spec, "--bound", "2")
+            assert (code, out, err) == (0, expected, "")
+        for command, element, expected in (("contains", "3", "true\n"),
+                                           ("factorize", "2", "1 x 2\n")):
+            code, out, err = _run(capsys, command, "--spec", spec,
+                                  "--element", element)
             assert (code, out, err) == (0, expected, "")
 
 

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from oracles import sieve
 from puiseux.constructions import (BASE_GENERATORS, CATALOG_NAMES, AtomPair,
                                    bifurcus_build, bifurcus_verify, catalog,
                                    load_staged, staged_from_dict,
@@ -9,6 +11,8 @@ from puiseux.constructions import (BASE_GENERATORS, CATALOG_NAMES, AtomPair,
                                    staged_to_json)
 from puiseux.errors import DomainError, SpecValidationError
 from puiseux.monoid import truncate
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestCatalog:
@@ -114,6 +118,31 @@ class TestBifurcusBuild:
         assert len(sm.records[0].added) == 1
         assert sm.records[1].added == ()
 
+    # six stages at 3/2 reduce 1,992 generators and take ~40 s
+    @pytest.mark.filterwarnings("ignore:stage")
+    @pytest.mark.parametrize("bound, most_stages", [(Fraction(6, 5), 6),
+                                                    (Fraction(3, 2), 5)])
+    def test_primes_are_least_unused_above_the_stage_floor(self, bound,
+                                                           most_stages):
+        for num_stages in range(1, most_stages + 1):
+            sm = bifurcus_build(num_stages, bound)
+            primes = sm.all_primes()
+            assert all(p < q for p, q in zip(primes, primes[1:]))
+            table = sieve(max(primes) if primes else 2)
+            used = set()
+            for rec in sm.records:
+                floor = max(13, 2 ** rec.index)
+                for pair in rec.added:
+                    assert pair.prime == next(q for q in table
+                                              if q >= floor and q not in used)
+                    used.add(pair.prime)
+
+    def test_records_match_fixture(self):
+        # captured from the build before atom reduction and the prime
+        # search were reworked
+        fixture = (DATA / "bifurcus_stages2_bound2.json").read_text(encoding="utf-8")
+        assert staged_to_json(bifurcus_build(2, Fraction(2))) == fixture
+
     def test_rejects(self):
         with pytest.raises(DomainError, match="7/6"):
             bifurcus_build(1, Fraction(9, 8))
@@ -187,6 +216,14 @@ class TestStagedSerialization:
         doc = staged_to_dict(bifurcus_build(1, Fraction(3, 2)))
         doc["stages"][0]["added"].append(doc["stages"][0]["added"][0])
         with pytest.raises(SpecValidationError, match="used twice"):
+            staged_from_dict(doc)
+
+    def test_rejects_records_the_build_does_not_make(self):
+        # swapped primes pass the floor and reuse checks
+        doc = staged_to_dict(bifurcus_build(2, Fraction(3, 2)))
+        first, second = doc["stages"][1]["added"][:2]
+        first["prime"], second["prime"] = second["prime"], first["prime"]
+        with pytest.raises(SpecValidationError, match="stage 2 differs"):
             staged_from_dict(doc)
 
     def test_rejects_malformed_json(self):

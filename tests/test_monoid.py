@@ -58,6 +58,21 @@ class TestContains:
         with pytest.raises(DomainError):
             contains(tm, Fraction(-1, 2))
 
+    # step counts recorded from the recursive search this one replaced
+    @pytest.mark.parametrize("name, depth, x, member, steps", [
+        ("primarydense", 8, Fraction(115, 19), True, 29),
+        ("bfnotff", 6, Fraction(226, 39), True, 81),
+        ("bfnotff", 6, Fraction(507137, 85085), False, 4755),
+    ])
+    def test_budget_steps_pinned(self, name, depth, x, member, steps):
+        tm = truncate(catalog(name, depth), depth)
+        budget = WorkBudget(steps)
+        assert contains(tm, x, budget) is member
+        assert budget.left == 0
+        with pytest.raises(ResourceCapError,
+                           match=f"work budget of {steps - 1} steps"):
+            contains(tm, x, WorkBudget(steps - 1))
+
     @given(small_gens, st.builds(Fraction, st.integers(0, 30), st.integers(1, 8)))
     @settings(max_examples=80, deadline=None)
     def test_against_brute_closure(self, gens, x):
