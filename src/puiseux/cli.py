@@ -14,6 +14,7 @@ PUISEUX_CAP environment variable, else a built-in default.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -377,7 +378,11 @@ def _add_cap(p):
                    help="factorization cap (default: PUISEUX_CAP or built-in)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built on first use and shared by every later
+    `main` call: it depends on no input, and `parse_args` keeps no state
+    in it."""
     parser = argparse.ArgumentParser(
         prog="puiseux",
         description="Exact factorization invariants of rational-exponent "

@@ -24,7 +24,7 @@ from .errors import DomainError, SpecValidationError
 from .monoid import TruncatedMonoid, from_generators, sweep
 from .primes import PrimeFilter, next_prime_at_least
 from .rationals import format_rational, parse_rational
-from .specfile import GeneratorFamily, Metadata, MonoidSpec, NumeratorExpr
+from .specfile import GeneratorFamily, Metadata, MonoidSpec, NumeratorExpr, read_text
 
 CATALOG_NAMES = ("bfplot", "factorial", "bfnotff", "unstablenotbf",
                  "primarydense", "primarystable", "infiniteunstable")
@@ -404,5 +404,4 @@ def staged_from_json(text: str, budget=None) -> StagedMonoid:
 
 
 def load_staged(path, budget=None) -> StagedMonoid:
-    with open(path, "r", encoding="utf-8") as fh:
-        return staged_from_json(fh.read(), budget=budget)
+    return staged_from_json(read_text(path), budget=budget)

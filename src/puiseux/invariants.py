@@ -16,7 +16,6 @@ unstable parts with a uniquely factorable stable part.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -257,13 +256,17 @@ def density_witness(a_seq, b_seq, target, epsilon, budget_n: int = 10_000,
                     budget_k: int = 10_000_000) -> DensityWitness:
     """Find (n, k) with |(a_n + k)/(b_n + k) - target| < epsilon.
 
-    Two-stage search: walk n until the gap c_n = a_n - b_n is positive
-    and fine enough (1/c_n < epsilon), then test the integers
-    bracketing the exact solution k* = c_n/(target-1) - b_n, clamped
-    to at least 1 (targets at the supremum of a_n/b_n push k* below 1;
-    k = 1 then gives the closest approach from below).  Every candidate
-    is verified in exact arithmetic; not-found happens only when the
-    budgets run out.
+    `a_seq` and `b_seq` map n to integers.  Two-stage search: walk n
+    until the gap c_n = a_n - b_n is positive and fine enough
+    (1/c_n < epsilon), then test the integers bracketing the exact
+    solution k* = c_n/(target-1) - b_n, clamped into [1, budget_k]
+    (targets at the supremum of a_n/b_n push k* below 1; k = 1 then
+    gives the closest approach from below).  With target = Q/R and
+    epsilon = E/F every test is on integers: the gap test is
+    F < c_n*E, and, as b_n + k > 0, a candidate is accepted when
+    |(a_n+k)*R - Q*(b_n+k)|*F < E*R*(b_n+k).  Only the returned witness
+    builds its ratio and error as fractions.  Not-found happens only
+    when the budgets run out.
     """
     q = target if isinstance(target, Fraction) else Fraction(target)
     eps = epsilon if isinstance(epsilon, Fraction) else Fraction(epsilon)
@@ -271,30 +274,38 @@ def density_witness(a_seq, b_seq, target, epsilon, budget_n: int = 10_000,
         raise DomainError("target must be at least 1")
     if eps <= 0:
         raise DomainError("epsilon must be positive")
-    t = q - 1
+    if budget_k < 1:
+        raise DomainError("budget_k must be at least 1")
+    Q, R = q.numerator, q.denominator
+    E, F = eps.numerator, eps.denominator
+    T = Q - R
     tried = 0
     for n in range(1, budget_n + 1):
         a, b = a_seq(n), b_seq(n)
         if a <= b or b < 1:
             continue
         c = a - b
-        if t == 0:
+        if T == 0:
             # ratio = 1 + c/(b+k): any k beyond c/eps - b lands inside
-            k = max(1, math.floor(Fraction(c, 1) / eps - b) + 1)
-            candidates = [k] if k <= budget_k else []
+            k = max(1, (c * F) // E - b + 1)
+            candidates = (k,) if k <= budget_k else ()
         else:
-            if Fraction(1, c) >= eps:
+            if F >= c * E:
                 continue
-            ideal = c / t - b
-            lo = math.floor(ideal)
-            candidates = sorted({min(max(k, 1), budget_k)
-                                 for k in (lo, lo + 1)})
+            # lo and lo + 1 clamped into [1, budget_k]
+            lo = (c * R) // T - b
+            if lo < 1:
+                candidates = (1,)
+            elif lo < budget_k:
+                candidates = (lo, lo + 1)
+            else:
+                candidates = (budget_k,)
         for k in candidates:
             tried += 1
-            ratio = Fraction(a + k, b + k)
-            err = abs(ratio - q)
-            if err < eps:
-                return DensityWitness(True, n=n, k=k, ratio=ratio, error=err)
+            if abs((a + k) * R - Q * (b + k)) * F < E * R * (b + k):
+                ratio = Fraction(a + k, b + k)
+                return DensityWitness(True, n=n, k=k, ratio=ratio,
+                                      error=abs(ratio - q))
     return DensityWitness(
         False,
         diagnostics=f"no witness within budgets n <= {budget_n}, k <= {budget_k} "

@@ -27,6 +27,11 @@ from .rationals import INFINITY, format_rational, parse_rational
 
 SCHEMA_VERSION = 1
 
+# Deepest numerator expression accepted, counting each open parenthesis
+# and each chained operator as one level: the parser and the evaluator
+# recurse once per level, so this keeps both far from Python's limit.
+MAX_EXPR_DEPTH = 100
+
 _TOKEN_RE = re.compile(r"\s*(\d+|//|[np+\-*()])")
 
 
@@ -54,6 +59,7 @@ class _ExprParser:
         self.source = source
         self.tokens = _tokenize(source)
         self.i = 0
+        self.open = 0
 
     def peek(self):
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -77,7 +83,13 @@ class _ExprParser:
             raise SpecSyntaxError(
                 f"trailing {tok!r} in numerator expression {self.source!r}",
                 line=1, column=at + 1)
+        if _depth(node) > MAX_EXPR_DEPTH:
+            raise self.too_deep()
         return node
+
+    def too_deep(self):
+        return SpecSyntaxError(
+            f"numerator expression nests deeper than {MAX_EXPR_DEPTH} levels")
 
     def expr(self):
         node = self.term()
@@ -112,12 +124,26 @@ class _ExprParser:
         if tok in ("n", "p"):
             return ("var", tok)
         if tok == "(":
+            self.open += 1
+            if self.open > MAX_EXPR_DEPTH:
+                raise self.too_deep()
             node = self.expr()
             self.take(")")
+            self.open -= 1
             return node
         raise SpecSyntaxError(
             f"unexpected {tok!r} in numerator expression {self.source!r}",
             line=1, column=at + 1)
+
+
+def _depth(node) -> int:
+    deepest, stack = 0, [(node, 0)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        if node[0] not in ("const", "var"):
+            stack += [(node[1], level + 1), (node[2], level + 1)]
+    return deepest
 
 
 def _eval(node, n: int, p: int) -> int:
@@ -378,9 +404,18 @@ def parse_spec(text: str) -> MonoidSpec:
     return MonoidSpec(families=families, metadata=_parse_metadata(doc.get("metadata")))
 
 
-def load_spec(path) -> MonoidSpec:
+def read_text(path) -> str:
+    """The text of a UTF-8 file; any other bytes are a SpecValidationError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_spec(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise SpecValidationError(
+                f"{path} is not UTF-8 text ({exc.reason})") from exc
+
+
+def load_spec(path) -> MonoidSpec:
+    return parse_spec(read_text(path))
 
 
 def spec_to_dict(spec: MonoidSpec) -> dict:

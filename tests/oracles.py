@@ -6,6 +6,7 @@ feasibility memoization, no pruning), so agreement is meaningful.
 Only usable at toy sizes.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -105,3 +106,33 @@ def partition_length_extremes(total, primes):
     if lo[total] is pos or hi[total] == neg:
         return None
     return lo[total], hi[total]
+
+
+def brute_density_search(a_seq, b_seq, target, eps, budget_n, budget_k):
+    """The density search restated in Fraction arithmetic: for each
+    n <= budget_n with c = a_n - b_n > 0, b_n >= 1 and 1/c < eps (any
+    c when target is 1), try the integers next to the real solution k*
+    of (a_n + k)/(b_n + k) = target, clamped into [1, budget_k]; for
+    target 1 try the least k past c/eps - b_n, if within budget_k.
+    Returns (n, k, ratio, error) of the first hit or None, and the
+    number of (n, k) pairs tried."""
+    target, eps = Fraction(target), Fraction(eps)
+    tried = 0
+    for n in range(1, budget_n + 1):
+        a, b = a_seq(n), b_seq(n)
+        c = a - b
+        if c <= 0 or b < 1:
+            continue
+        if target == 1:
+            ks = [k for k in [max(1, math.floor(c / eps - b) + 1)] if k <= budget_k]
+        elif Fraction(1, c) >= eps:
+            continue
+        else:
+            k_star = math.floor(c / (target - 1) - b)
+            ks = sorted({min(max(k, 1), budget_k) for k in (k_star, k_star + 1)})
+        for k in ks:
+            tried += 1
+            ratio = Fraction(a + k, b + k)
+            if abs(ratio - target) < eps:
+                return (n, k, ratio, abs(ratio - target)), tried
+    return None, tried

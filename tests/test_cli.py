@@ -1,3 +1,4 @@
+import argparse
 import json
 from fractions import Fraction
 
@@ -7,7 +8,14 @@ from puiseux import cli
 from puiseux.factorization import factorizations
 from puiseux.monoid import elements_up_to, truncate
 from puiseux.rationals import format_rational
-from puiseux.specfile import load_spec
+from puiseux.specfile import MAX_EXPR_DEPTH, load_spec
+
+# 600 nested parentheses exhausted the parser's recursion; a 1,500-term
+# sum built a tree that evaluation recursed down.
+DEEP_OR_LONG = pytest.mark.parametrize(
+    "expr", ["(" * 600 + "n" + ")" * 600, "+".join(["n"] * 1500)],
+    ids=["nested", "long"])
+TOO_DEEP = f"error: numerator expression nests deeper than {MAX_EXPR_DEPTH} levels\n"
 
 EXPLICIT_HALF_THIRD = """
 {"schema": 1,
@@ -141,6 +149,11 @@ class TestDensity:
         assert code == 0
         doc = json.loads(out)
         assert doc["found"] is True and doc["ratio"] == "2"
+
+    @DEEP_OR_LONG
+    def test_deep_or_long_expression_rejected(self, capsys, expr):
+        assert _run(capsys, "density", "--a-seq", expr, "--b-seq", "n",
+                    "--target", "2", "--epsilon", "1/10") == (1, "", TOO_DEEP)
 
     def test_prime_variable_rejected(self, capsys):
         code, _, err = _run(capsys, "density", "--a-seq", "p+1",
@@ -366,9 +379,55 @@ class TestFailureModes:
         code, _, err = _run(capsys, "atoms", "--spec", spec)
         assert code == 1 and err.startswith("error:")
 
+    @DEEP_OR_LONG
+    def test_deep_or_long_spec_numerator(self, capsys, tmp_path, expr):
+        spec = _write(tmp_path, json.dumps(
+            {"schema": 1, "families": [{"kind": "symbolic", "numerator": expr,
+                                        "prime_filter": "all"}]}))
+        for argv in (["atoms"], ["classify"], ["contains", "--element", "1"],
+                     ["status"], ["elasticity"]):
+            assert _run(capsys, *argv, "--spec", spec) == (1, "", TOO_DEEP)
+
+    @pytest.mark.parametrize("argv", [["atoms", "--spec"],
+                                      ["verify-bifurcus", "--bound", "3/2",
+                                       "--staged"]], ids=["spec", "staged"])
+    def test_file_not_utf8(self, capsys, tmp_path, argv):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = _run(capsys, *argv, str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path} is not UTF-8 text (invalid start byte)\n"
+
     def test_non_member_element(self, capsys, tmp_path):
         spec = _write(tmp_path, EXPLICIT_HALF_THIRD)
         code, _, err = _run(capsys, "factorize", "--spec", spec,
                             "--element", "1/9999")
         assert code == 1
         assert err == "error: 1/9999 is not in the monoid\n"
+
+
+class TestParserReuse:
+    def test_calls_share_one_parser_and_no_state(self, capsys, tmp_path,
+                                                  monkeypatch):
+        spec = _write(tmp_path, EXPLICIT_HALF_THIRD)
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(["elasticity", "--spec", spec, "--element", "x/y"])
+        assert exc_info.value.code == 2
+        after_first = len(built)
+        for argv, expected in (
+                (["elasticity", "--element", "3/2"], "4/3\n"),
+                (["elasticity"], "3/2\n"),
+                (["atoms", "--format", "json"],
+                 '{\n  "atoms": [\n    "1/3",\n    "1/2"\n  ],\n'
+                 '  "depth": 5\n}\n'),
+                (["atoms"], "{1/3, 1/2}\n")):
+            assert _run(capsys, *argv, "--spec", spec)[:2] == (0, expected)
+        assert built.count("puiseux") <= 1 and len(built) == after_first

@@ -1,8 +1,9 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from puiseux.constructions import catalog
@@ -17,6 +18,8 @@ from puiseux.invariants import (bf_ff_status, decompose_stable_unstable,
 from puiseux.monoid import contains, from_generators, truncate
 from puiseux.rationals import INFINITY
 from puiseux.specfile import parse_spec
+
+from oracles import brute_density_search
 
 small_gens = st.lists(
     st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)),
@@ -295,6 +298,35 @@ class TestDensityWitness:
         assert r.found and abs(r.ratio - target) < eps
         assert r.n >= 1 and r.k >= 1
 
+    @given(st.lists(st.integers(-2, 3), min_size=3, max_size=3),
+           st.lists(st.integers(-2, 4), min_size=3, max_size=3),
+           st.fractions(min_value=1, max_value=6, max_denominator=12),
+           st.integers(1, 200).flatmap(
+               lambda den: st.builds(Fraction, st.integers(1, den), st.just(den))),
+           st.integers(1, 30), st.integers(1, 60))
+    # the bracket's lower end lands on budget_k, so only k = budget_k is tried
+    @example([3, 3, -2], [-2, 1, 2], Fraction(13, 4), Fraction(3, 10), 2, 2)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_reference(self, bc, cc, target, eps,
+                                        budget_n, budget_k):
+        # b_n and the gap c_n = a_n - b_n are quadratics that may be <= 0
+        def b_seq(n):
+            return bc[0] + bc[1] * n + bc[2] * n * n
+
+        def a_seq(n):
+            return b_seq(n) + cc[0] + cc[1] * n + cc[2] * n * n
+
+        r = density_witness(a_seq, b_seq, target, eps,
+                            budget_n=budget_n, budget_k=budget_k)
+        hit, tried = brute_density_search(a_seq, b_seq, target, eps,
+                                          budget_n, budget_k)
+        if hit is None:
+            assert not r.found and r.n is r.k is r.ratio is r.error is None
+            assert re.search(r"\((\d+) candidate pairs", r.diagnostics)[1] == str(tried)
+        else:
+            assert r.found and (r.n, r.k, r.ratio, r.error) == hit
+            assert r.diagnostics is None
+
     def test_budget_exhaustion_reports(self):
         r = density_witness(lambda n: 2 * n - 1, lambda n: n,
                             Fraction(3), Fraction(1, 1000), budget_n=200)
@@ -306,6 +338,9 @@ class TestDensityWitness:
                             Fraction(1, 10))
         with pytest.raises(DomainError):
             density_witness(lambda n: n, lambda n: n, Fraction(2), Fraction(0))
+        with pytest.raises(DomainError):
+            density_witness(lambda n: n + 1, lambda n: n, Fraction(2),
+                            Fraction(1, 10), budget_k=0)
 
 
 class TestBfFfStatus:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from puiseux.errors import SpecSyntaxError, SpecValidationError
 from puiseux.primes import PrimeFilter
 from puiseux.rationals import INFINITY
-from puiseux.specfile import (GeneratorFamily, Metadata, MonoidSpec,
-                              NumeratorExpr, parse_spec, spec_to_json)
+from puiseux.specfile import (MAX_EXPR_DEPTH, GeneratorFamily, Metadata,
+                              MonoidSpec, NumeratorExpr, parse_spec, spec_to_json)
 
 
 class TestNumeratorExpr:
@@ -33,6 +33,17 @@ class TestNumeratorExpr:
     def test_parse_rejects(self, bad):
         with pytest.raises((SpecSyntaxError, SpecValidationError)):
             NumeratorExpr.parse(bad)
+
+    @pytest.mark.parametrize("shape,value", [
+        (lambda d: "(" * d + "n" + ")" * d, lambda d: 3),
+        (lambda d: "+".join(["n"] * (d + 1)), lambda d: 3 * (d + 1)),
+        (lambda d: "*".join(["1"] * d + ["n"]), lambda d: 3),
+    ], ids=["parentheses", "sum", "product"])
+    def test_depth_limit(self, shape, value):
+        expr = NumeratorExpr.parse(shape(MAX_EXPR_DEPTH))
+        assert expr.evaluate(3, 5) == value(MAX_EXPR_DEPTH)
+        with pytest.raises(SpecSyntaxError, match="nests deeper than"):
+            NumeratorExpr.parse(shape(MAX_EXPR_DEPTH + 1))
 
     def test_is_constant(self):
         assert NumeratorExpr.parse("30").is_constant()
