@@ -400,6 +400,9 @@ def staged_from_json(text: str, budget=None) -> StagedMonoid:
     except json.JSONDecodeError as exc:
         raise SpecValidationError(f"staged-monoid document is not valid JSON: "
                                   f"{exc.msg} (line {exc.lineno})") from exc
+    except RecursionError as exc:
+        raise SpecValidationError("staged-monoid document nests too deeply "
+                                  "to parse") from exc
     return staged_from_dict(doc, budget=budget)
 
 

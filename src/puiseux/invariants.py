@@ -319,35 +319,6 @@ class StatusReport:
     reason: str
 
 
-def _symbolic_prime_positions(fam, prime: int):
-    """Index of prime in fam's admitted sequence, or None."""
-    pos = 0
-    for p in fam.prime_filter.primes():
-        pos += 1
-        if p == prime:
-            return pos
-        if p > prime:
-            return None
-
-
-def _family_prime_range_contains(fam, prime: int) -> bool:
-    pos = _symbolic_prime_positions(fam, prime)
-    if pos is None or pos < fam.index_start:
-        return False
-    return fam.index_end is None or pos <= fam.index_end
-
-
-def _bounded_symbolic_primes(fam) -> list[int]:
-    out = []
-    pos = 0
-    for p in fam.prime_filter.primes():
-        pos += 1
-        if pos > fam.index_end:
-            return out
-        if pos >= fam.index_start:
-            out.append(p)
-
-
 _PRIMARY_SAMPLE = 25
 
 
@@ -368,10 +339,10 @@ def _spec_is_primary(spec) -> tuple[bool, str]:
             finite_sets.append(primes)
         elif fam.index_end is not None:
             try:
-                fam.instantiate(fam.index_end - fam.index_start + 1)
+                triples = fam.instantiate(fam.index_end - fam.index_start + 1)
             except Exception as exc:
                 return False, str(exc)
-            finite_sets.append(_bounded_symbolic_primes(fam))
+            finite_sets.append([p for _, p, _ in triples])
         else:
             try:
                 fam.instantiate(_PRIMARY_SAMPLE)
@@ -392,9 +363,12 @@ def _spec_is_primary(spec) -> tuple[bool, str]:
     flat = [p for ps in finite_sets for p in ps]
     if len(flat) != len(set(flat)):
         return False, "a prime carries two generators"
+    # every p here is prime, so an open family uses it exactly when its
+    # filter admits p and p is at or past the family's first prime
+    firsts = [(f.prime_filter, f.prime_filter.nth(f.index_start)) for f in unbounded]
     for p in flat:
-        for fam in unbounded:
-            if _family_prime_range_contains(fam, p):
+        for filt, first in firsts:
+            if filt.admits(p) and p >= first:
                 return False, f"prime {p} carries two generators"
     return True, "one generator per prime, all denominators prime"
 

@@ -1,18 +1,24 @@
 """Primality testing and filtered prime sequences.
 
-is_prime is a Miller-Rabin test.  Below _DETERMINISTIC_LIMIT the fixed
-witness set is known to be exhaustive, so answers are deterministic and
-exact; above it (far beyond anything this package enumerates) extra
-random rounds run and the witness certificate is logged.
+Prime sequences are read from one per-process table, filled by a sieve
+of Eratosthenes whose range doubles whenever a request runs past its
+top; prime_seq is the only producer of a filter's admitted primes.
+
+is_prime is a Miller-Rabin test for single integers (spec denominators,
+exclude lists, next_prime_at_least).  Below _DETERMINISTIC_LIMIT the
+fixed witness set is known to be exhaustive, so answers are
+deterministic and exact; above it (far beyond anything this package
+enumerates) extra random rounds run and the witness certificate is
+logged.
 """
 
 from __future__ import annotations
 
 import logging
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import count, islice
-from typing import Iterator
+from math import isqrt
 
 from .errors import DomainError, SpecValidationError
 
@@ -41,16 +47,15 @@ def is_prime(n: int) -> bool:
         raise DomainError(f"primality is defined for integers, got {n!r}")
     if n < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n in small:
+    if n in _MR_WITNESSES:
         return True
-    if any(n % p == 0 for p in small):
+    if any(n % p == 0 for p in _MR_WITNESSES):
         return False
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    witnesses = [a for a in _MR_WITNESSES if a < n]
+    witnesses = list(_MR_WITNESSES)
     if n >= _DETERMINISTIC_LIMIT:
         rng = random.Random(n)
         extra = [rng.randrange(2, n - 1) for _ in range(_EXTRA_ROUNDS)]
@@ -60,12 +65,21 @@ def is_prime(n: int) -> bool:
     return all(_mr_round(n, d, s, a) for a in witnesses)
 
 
-def _primes() -> Iterator[int]:
-    """All primes in increasing order."""
-    yield 2
-    for n in count(3, 2):
-        if is_prime(n):
-            yield n
+_PRIMES: list[int] = []  # every prime up to _sieved_to, increasing
+_sieved_to = 0
+
+
+def _grow_table() -> None:
+    """Double the sieved range, re-sieving it from scratch."""
+    global _sieved_to
+    top = max(2 * _sieved_to, 1024)
+    flags = bytearray([1]) * (top + 1)
+    flags[:2] = b"\0\0"
+    for i in range(2, isqrt(top) + 1):
+        if flags[i]:
+            flags[i * i::i] = bytes(len(range(i * i, top + 1, i)))
+    _PRIMES[:] = [i for i, f in enumerate(flags) if f]
+    _sieved_to = top
 
 
 @dataclass(frozen=True)
@@ -136,26 +150,28 @@ class PrimeFilter:
             return p >= self.min_bound
         return True
 
-    def primes(self) -> Iterator[int]:
-        """The admitted primes in increasing order (infinite)."""
-        return (p for p in _primes() if self.admits(p))
-
     def nth(self, n: int) -> int:
         """1-indexed n-th admitted prime."""
         if n < 1:
             raise DomainError(f"prime index must be >= 1, got {n}")
-        return next(islice(self.primes(), n - 1, None))
+        return prime_seq(self, n)[-1]
 
 
 FILTER_ALL = PrimeFilter("all")
 
 
-def prime_seq(filt, count_: int) -> list[int]:
-    """First count_ primes admitted by the filter, in increasing order."""
-    f = PrimeFilter.parse(filt) if not isinstance(filt, PrimeFilter) else filt
-    if count_ < 0:
+def prime_seq(filt, count: int) -> list[int]:
+    """First count primes admitted by the filter, in increasing order."""
+    f = PrimeFilter.parse(filt)
+    if count < 0:
         raise DomainError("count must be nonnegative")
-    return list(islice(f.primes(), count_))
+    while True:
+        # from the min bound on, a filter drops only its excluded primes or 2
+        start = bisect_left(_PRIMES, f.min_bound)
+        stop = start + count + len(f.exclude) + 1
+        if stop <= len(_PRIMES):
+            return [p for p in _PRIMES[start:stop] if f.admits(p)][:count]
+        _grow_table()
 
 
 def next_prime_at_least(n: int, used=()) -> int:

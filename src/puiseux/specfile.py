@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import SpecSyntaxError, SpecValidationError
-from .primes import PrimeFilter
+from .primes import PrimeFilter, prime_seq
 from .rationals import INFINITY, format_rational, parse_rational
 
 SCHEMA_VERSION = 1
@@ -256,15 +256,9 @@ class GeneratorFamily:
         idx = self.indices(depth)
         if not idx:
             return out
-        primes = {}
-        it = self.prime_filter.primes()
-        for k, p in enumerate(it, start=1):
-            if k in idx:
-                primes[k] = p
-            if k >= idx.stop - 1:
-                break
+        primes = prime_seq(self.prime_filter, idx.stop - 1)
         for n in idx:
-            p = primes[n]
+            p = primes[n - 1]
             a = self.numerator.evaluate(n, p)
             if a <= 0:
                 raise SpecValidationError(
@@ -388,6 +382,8 @@ def parse_spec(text: str) -> MonoidSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecSyntaxError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except RecursionError as exc:
+        raise SpecSyntaxError("JSON nests too deeply to parse") from exc
     if not isinstance(doc, dict):
         raise SpecValidationError("top level must be an object")
     extra = set(doc) - {"schema", "families", "metadata"}

@@ -398,6 +398,15 @@ class TestFailureModes:
         assert (code, out) == (1, "")
         assert err == f"error: {path} is not UTF-8 text (invalid start byte)\n"
 
+    @pytest.mark.parametrize("argv", [["atoms", "--spec"],
+                                      ["verify-bifurcus", "--bound", "3/2",
+                                       "--staged"]], ids=["spec", "staged"])
+    def test_deeply_nested_json(self, capsys, tmp_path, argv):
+        path = _write(tmp_path, "[" * 100_000 + "]" * 100_000)
+        code, out, err = _run(capsys, *argv, path)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+
     def test_non_member_element(self, capsys, tmp_path):
         spec = _write(tmp_path, EXPLICIT_HALF_THIRD)
         code, _, err = _run(capsys, "factorize", "--spec", spec,

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from fractions import Fraction
@@ -14,7 +15,8 @@ from puiseux.invariants import (bf_ff_status, decompose_stable_unstable,
                                 density_witness, elasticity_set,
                                 elasticity_witnesses, is_accepted,
                                 monoid_elasticity, predicted_elasticities,
-                                shifted_lengths)
+                                shifted_lengths, StatusReport,
+                                _spec_is_primary)
 from puiseux.monoid import contains, from_generators, truncate
 from puiseux.rationals import INFINITY
 from puiseux.specfile import parse_spec
@@ -375,6 +377,48 @@ class TestBfFfStatus:
         """)
         report = bf_ff_status(spec)
         assert report.status == "unknown" and "bounded" in report.reason
+
+
+def _family(prime_filter="all", start=1, end=None):
+    fam = {"kind": "symbolic", "numerator": "n", "prime_filter": prime_filter,
+           "index_start": start}
+    if end is not None:
+        fam["index_end"] = end
+    return fam
+
+
+ONE_13TH = {"kind": "explicit", "generators": ["1/13"]}
+PRIMARY = "one generator per prime, all denominators prime"
+
+
+class TestPrimeCollisions:
+    # bf_ff_status names the collision only when the spec is primary, so
+    # the collision message itself is read off _spec_is_primary
+    @pytest.mark.parametrize("families,why", [
+        ([ONE_13TH, _family()], "prime 13 carries two generators"),
+        ([ONE_13TH, _family(start=6)], "prime 13 carries two generators"),
+        ([ONE_13TH, _family(start=7)], None),
+        ([{"kind": "explicit", "generators": ["1/3"]},
+          _family("exclude:[3]")], None),
+        ([{"kind": "explicit", "generators": ["1/2"]}, _family("odd")], None),
+        ([ONE_13TH, _family("min:17")], None),
+        ([_family(end=3), _family(start=3)], "prime 5 carries two generators"),
+        ([_family(end=3), {"kind": "explicit", "generators": ["1/5"]}],
+         "a prime carries two generators"),
+    ], ids=["all", "all-from-6", "all-from-7", "exclude", "odd", "min",
+            "bounded-open", "bounded-explicit"])
+    def test_collision(self, families, why):
+        spec = parse_spec(json.dumps({"schema": 1, "families": families}))
+        report = bf_ff_status(spec)
+        if why is None:
+            assert _spec_is_primary(spec) == (True, PRIMARY)
+            assert report == StatusReport(
+                "FF", f"primary ({PRIMARY}) and every atom family is unstable")
+        else:
+            assert _spec_is_primary(spec) == (False, why)
+            assert report == StatusReport(
+                "unknown", "not primary and 0 may be a limit point; no "
+                           "criterion applies")
 
 
 class TestStableLengthGrowth:

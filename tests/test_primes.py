@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import sieve
-from puiseux.errors import SpecValidationError
+from oracles import first_primes, sieve
+from puiseux import primes
+from puiseux.errors import DomainError, SpecValidationError
 from puiseux.primes import (FILTER_ALL, PrimeFilter, is_prime,
                             next_prime_at_least, prime_seq)
 
@@ -66,6 +67,48 @@ class TestPrimeFilter:
     def test_nth_matches_sequence(self, n):
         f = PrimeFilter.parse("odd")
         assert f.nth(n) == prime_seq(f, n)[-1]
+
+
+def _render_exclude(dropped):
+    return "exclude:[" + ",".join(str(p) for p in sorted(dropped)) + "]"
+
+
+FILTER_TEXTS = st.one_of(
+    st.sampled_from(["all", "odd"]),
+    st.sets(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29]),
+            min_size=1, max_size=4).map(_render_exclude),
+    st.integers(0, 10_000).map(lambda b: f"min:{b}"))
+
+
+def _oracle_seq(text, count):
+    """First count admitted primes, from the oracle's own sieve."""
+    f = PrimeFilter.parse(text)
+    if f.kind == "min":
+        below = len(sieve(max(f.min_bound - 1, 1)))
+        return first_primes(below + count)[below:]
+    skip = {2} if f.kind == "odd" else f.exclude
+    return first_primes(count, skip=skip)
+
+
+class TestPrimeTable:
+    @given(FILTER_TEXTS, st.integers(0, 500))
+    @settings(max_examples=60, deadline=None)
+    def test_against_oracle(self, text, count):
+        expected = _oracle_seq(text, count)
+        f = PrimeFilter.parse(text)
+        assert prime_seq(f, count) == prime_seq(text, count) == expected
+        if count:
+            assert f.nth(count) == expected[-1]
+
+    def test_min_bound_past_table_top_grows_table(self):
+        top = primes._sieved_to
+        text = f"min:{top + 1}"
+        assert prime_seq(text, 50) == _oracle_seq(text, 50)
+        assert primes._sieved_to > top
+
+    def test_nth_rejects_index_zero(self):
+        with pytest.raises(DomainError):
+            FILTER_ALL.nth(0)
 
 
 class TestNextPrimeAtLeast:
