@@ -9,7 +9,7 @@ factorization.
 from .errors import (DomainError, InsufficientMetadataError, NotAMemberError,
                      NotDecomposableError, PuiseuxError, ResourceCapError,
                      SpecError, SpecSyntaxError, SpecValidationError)
-from .rationals import INFINITY, PosRational, format_rational, padic_val, parse_rational
+from .rationals import INFINITY, format_rational, parse_rational
 from .primes import PrimeFilter, is_prime, next_prime_at_least, prime_seq
 from .specfile import (GeneratorFamily, Metadata, MonoidSpec, NumeratorExpr,
                        load_spec, parse_spec, spec_to_dict, spec_to_json)

@@ -9,8 +9,10 @@ The staged construction grows a monoid from <1/2, 1/3> so that, in the
 limit, every nonzero nonunit is a sum of two atoms: each stage finds
 the reducible elements (up to a value bound) that still lack a
 length-2 factorization and, per such element a, adjoins the pair
-a/2 - 1/p and a/2 + 1/p for a fresh prime p.  Verification replays the
-claimed invariants on the finite stages actually built.
+a/2 - 1/p and a/2 + 1/p for a fresh prime p.  The build keeps the
+reducibles it reads off its one sweep of each stage, so verification
+checks the claimed invariants on the finite stages actually built
+without sweeping again.
 """
 
 from __future__ import annotations
@@ -150,11 +152,14 @@ class StageRecord:
 @dataclass(frozen=True)
 class StagedMonoid:
     """Chain of truncations stages[0] <= stages[1] <= ... with the
-    per-stage adjunction records that produced them."""
+    per-stage adjunction records that produced them.  reducibles[j]
+    lists, ascending, the non-atom nonzero elements <= value_bound of
+    stages[j], for every stage but the last."""
 
     stages: tuple[TruncatedMonoid, ...]
     records: tuple[StageRecord, ...]
     value_bound: Fraction
+    reducibles: tuple[tuple[Fraction, ...], ...]
 
     @property
     def final(self) -> TruncatedMonoid:
@@ -177,13 +182,6 @@ def _not_split_in_two(tm: TruncatedMonoid, xs) -> list[Fraction]:
     return out
 
 
-def _reducibles(tm: TruncatedMonoid, bound, budget=None) -> list[Fraction]:
-    """Nonzero non-atom members up to bound, ascending: exactly the
-    elements whose shortest factorization has two or more atoms."""
-    return [tm.unscale(v) for v, (lo, _hi, _n) in sweep(tm, bound, budget).items()
-            if lo >= 2]
-
-
 def bifurcus_build(num_stages: int, value_bound, budget=None) -> StagedMonoid:
     """Run the staged construction for num_stages rounds.
 
@@ -201,12 +199,17 @@ def bifurcus_build(num_stages: int, value_bound, budget=None) -> StagedMonoid:
     gens: list[Fraction] = list(BASE_GENERATORS)
     stages = [from_generators(gens, budget=budget)]
     records: list[StageRecord] = []
+    reducibles: list[tuple[Fraction, ...]] = []
     last = 0
     for j in range(1, num_stages + 1):
         prev = stages[-1]
-        # a reducible has a length-2 factorization iff its shortest has length 2
-        missing = [prev.unscale(v) for v, (lo, _hi, _n)
-                   in sweep(prev, bound, budget).items() if lo >= 3]
+        # reducibles are the elements whose shortest factorization has
+        # two or more atoms; one has a length-2 factorization iff its
+        # shortest has length 2
+        shortest = [(prev.unscale(v), lo) for v, (lo, _hi, _n)
+                    in sweep(prev, bound, budget).items() if lo >= 2]
+        reducibles.append(tuple(a for a, _lo in shortest))
+        missing = [a for a, lo in shortest if lo >= 3]
         if not missing:
             warnings.warn(f"stage {j}: every reducible element up to "
                           f"{format_rational(bound)} already splits into two atoms; "
@@ -224,7 +227,7 @@ def bifurcus_build(num_stages: int, value_bound, budget=None) -> StagedMonoid:
         records.append(StageRecord(index=j, added=tuple(added)))
         stages.append(from_generators(gens, budget=budget))
     return StagedMonoid(stages=tuple(stages), records=tuple(records),
-                        value_bound=bound)
+                        value_bound=bound, reducibles=tuple(reducibles))
 
 
 @dataclass(frozen=True)
@@ -258,23 +261,26 @@ class BifurcusVerification:
         return out
 
 
-def bifurcus_verify(sm: StagedMonoid, bound, budget=None) -> BifurcusVerification:
+def bifurcus_verify(sm: StagedMonoid, bound) -> BifurcusVerification:
     """Check, up to bound: the final stage's least nonzero element is
     1/3; atoms of every built stage stay atoms in the final stage; and
     each stage gives every reducible of its predecessor a length-2
     factorization.
+
+    Nothing is swept: the least nonzero element of a monoid is its
+    least atom, and the reducibles are those the build recorded, each
+    tested for a two-atom split independently of the sweep.
     """
     b = bound if isinstance(bound, Fraction) else Fraction(bound)
+    if b < 0:
+        raise DomainError("bound must be nonnegative")
     if b > sm.value_bound:
         raise DomainError(
             f"verification bound {format_rational(b)} exceeds the build bound "
             f"{format_rational(sm.value_bound)}; reducibles beyond the build "
             "bound were never processed")
     final = sm.final
-    elements = iter(sweep(final, b, budget))
-    next(elements)  # 0
-    least = next(elements, None)
-    min_element = None if least is None else final.unscale(least)
+    min_element = final.min_atom if final.min_atom <= b else None
     min_ok = min_element == Fraction(1, 3)
 
     final_atoms = set(final.atoms)
@@ -283,9 +289,8 @@ def bifurcus_verify(sm: StagedMonoid, bound, budget=None) -> BifurcusVerificatio
 
     uncovered = []
     for j in range(1, len(sm.stages)):
-        prev, curr = sm.stages[j - 1], sm.stages[j]
         uncovered.extend((j, x) for x in _not_split_in_two(
-            curr, _reducibles(prev, b, budget=budget)))
+            sm.stages[j], [x for x in sm.reducibles[j - 1] if x <= b]))
     return BifurcusVerification(bound=b, min_element=min_element, min_ok=min_ok,
                                 atoms_persist_ok=atoms_persist_ok,
                                 lost_atoms=tuple(lost),
@@ -403,6 +408,9 @@ def staged_from_json(text: str, budget=None) -> StagedMonoid:
     except RecursionError as exc:
         raise SpecValidationError("staged-monoid document nests too deeply "
                                   "to parse") from exc
+    except ValueError as exc:  # past Python's int/str digit limit
+        raise SpecValidationError("staged-monoid document holds an integer "
+                                  "with too many digits") from exc
     return staged_from_dict(doc, budget=budget)
 
 

@@ -150,7 +150,7 @@ def length_extremes_up_to(tm: TruncatedMonoid, bound, budget=None,
     """Minimum and maximum factorization length for every element up to
     bound, ascending, read off one sweep table.
 
-    The budget (a step count or WorkBudget) caps the sweep; the
+    The budget (a WorkBudget) caps the sweep; the
     per-element results agree with length_set by construction.
     """
     return {tm.unscale(v): (lo, hi)

@@ -50,7 +50,7 @@ class ElasticityReport:
 def monoid_elasticity(spec=None, tm: TruncatedMonoid | None = None,
                       mode: str = "truncated") -> ElasticityReport:
     """Monoid elasticity, either of a truncation or declared-symbolic."""
-    if mode in ("truncated", "truncated-exact"):
+    if mode == "truncated":
         if tm is None:
             raise DomainError("truncated mode needs a truncation")
         value = tm.max_atom / tm.min_atom

@@ -51,8 +51,6 @@ class WorkBudget:
 def _as_budget(budget) -> WorkBudget:
     if budget is None:
         return WorkBudget(_DEFAULT_BUDGET)
-    if isinstance(budget, int):
-        return WorkBudget(budget)
     return budget
 
 
@@ -145,9 +143,6 @@ class Feasibility:
                 return True
         return False
 
-    def full(self, t: int) -> bool:
-        return self.check(0, t)
-
 
 def _reduce_to_atoms(values: list[Fraction], budget: WorkBudget) -> list[Fraction]:
     """The values that are not a sum of two nonzero elements of the
@@ -231,7 +226,7 @@ def contains(tm: TruncatedMonoid, x, budget=None) -> bool:
     if t is None:
         return False
     coins = tuple(sorted(tm.scaled_gens, reverse=True))
-    return Feasibility(coins, _as_budget(budget)).full(t)
+    return Feasibility(coins, _as_budget(budget)).check(0, t)
 
 
 def sweep(tm: TruncatedMonoid, bound, budget=None) -> dict[int, tuple[int, int, int]]:
@@ -293,28 +288,27 @@ def elements_up_to(tm: TruncatedMonoid, bound, budget=None) -> list[Fraction]:
 @dataclass(frozen=True)
 class PrimaryReport:
     is_primary: bool
-    prime_of_atom: dict
     reason: str | None = None
 
 
 def is_primary(tm: TruncatedMonoid) -> PrimaryReport:
     """Primary means: every atom has a prime denominator not dividing
     its numerator, and distinct atoms use distinct primes."""
-    primes = {}
+    primes = set()
     for a in tm.atoms:
         p = a.denominator
         if not is_prime(p):
-            return PrimaryReport(False, {}, f"denominator of {format_rational(a)} "
-                                            "is not prime")
+            return PrimaryReport(False, f"denominator of {format_rational(a)} "
+                                        "is not prime")
         if a.numerator % p == 0:
-            return PrimaryReport(False, {}, f"numerator of {format_rational(a)} "
-                                            f"is divisible by {p}")
-        if p in primes.values():
-            other = next(format_rational(b) for b, q in primes.items() if q == p)
-            return PrimaryReport(False, {}, f"{format_rational(a)} and {other} "
-                                            f"share the prime {p}")
-        primes[a] = p
-    return PrimaryReport(True, primes)
+            return PrimaryReport(False, f"numerator of {format_rational(a)} "
+                                        f"is divisible by {p}")
+        if p in primes:
+            other = next(format_rational(b) for b in tm.atoms if b.denominator == p)
+            return PrimaryReport(False, f"{format_rational(a)} and {other} "
+                                        f"share the prime {p}")
+        primes.add(p)
+    return PrimaryReport(True)
 
 
 def classify_stability(spec, depth: int, budget=None) -> dict[Fraction, str]:

@@ -157,9 +157,6 @@ class PrimeFilter:
         return prime_seq(self, n)[-1]
 
 
-FILTER_ALL = PrimeFilter("all")
-
-
 def prime_seq(filt, count: int) -> list[int]:
     """First count primes admitted by the filter, in increasing order."""
     f = PrimeFilter.parse(filt)
@@ -174,10 +171,9 @@ def prime_seq(filt, count: int) -> list[int]:
         _grow_table()
 
 
-def next_prime_at_least(n: int, used=()) -> int:
-    """Smallest prime >= n that is not in used."""
-    used = set(used)
+def next_prime_at_least(n: int) -> int:
+    """Smallest prime >= n."""
     candidate = max(2, n)
-    while not is_prime(candidate) or candidate in used:
+    while not is_prime(candidate):
         candidate += 1
     return candidate

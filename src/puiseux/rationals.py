@@ -5,11 +5,8 @@ always in lowest terms with positive denominator), so the invariants
 gcd(numerator, denominator) = 1 and denominator >= 1 hold for free and
 zero is canonically 0/1.  Construction funnels through canonical() /
 parse_rational(), which reject negative values; no floating point is
-used anywhere.
-
-PosRational is exported as an alias so signatures can say what they
-mean.  padic_val returns an int, or the INFINITY marker exactly when
-the input is zero.
+used anywhere.  A literal or a result too long for Python's int/str
+conversion limit is a DomainError.
 """
 
 from __future__ import annotations
@@ -17,9 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError
-from .primes import is_prime
-
-PosRational = Fraction
 
 
 class _Infinity:
@@ -76,13 +70,6 @@ def canonical(numer: int, denom: int) -> Fraction:
     return Fraction(numer, denom)
 
 
-def num_den(r: Fraction) -> tuple[int, int]:
-    """Canonical (numerator, denominator) pair of a positive rational."""
-    if r <= 0:
-        raise DomainError("num_den() is defined for positive rationals only")
-    return r.numerator, r.denominator
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse the literal syntax "a/b", or "a" meaning a/1.
 
@@ -96,52 +83,26 @@ def parse_rational(text: str) -> Fraction:
     head, slash, tail = s.partition("/")
     if not head.isascii() or not head.isdigit():
         raise DomainError(f"malformed rational literal {text!r}")
-    if slash:
-        if not tail.isascii() or not tail.isdigit():
-            raise DomainError(f"malformed rational literal {text!r}")
-        return canonical(int(head), int(tail))
-    return canonical(int(head), 1)
+    if slash and (not tail.isascii() or not tail.isdigit()):
+        raise DomainError(f"malformed rational literal {text!r}")
+    try:
+        return canonical(int(head), int(tail) if slash else 1)
+    except ValueError:  # past Python's int/str digit limit
+        raise DomainError(f"rational literal of {len(s)} characters has too "
+                          "many digits") from None
 
 
 def format_rational(value) -> str:
     """Render as "a/b", bare "a" when the denominator is 1, or "inf"."""
     if value is INFINITY:
         return "inf"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+    try:
+        if isinstance(value, int):
+            return str(value)
+        if isinstance(value, Fraction):
+            if value.denominator == 1:
+                return str(value.numerator)
+            return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # past Python's int/str digit limit
+        raise DomainError("result has too many digits to print") from None
     raise DomainError(f"cannot format {value!r} as a rational")
-
-
-def padic_val(p: int, r: Fraction):
-    """p-adic valuation of a nonnegative rational; INFINITY iff r = 0.
-
-    For r = a/b in lowest terms this is (exponent of p in a) minus
-    (exponent of p in b); at most one term is nonzero.
-    """
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    if not isinstance(r, Fraction):
-        if isinstance(r, int):
-            r = Fraction(r)
-        else:
-            raise DomainError(f"padic_val() needs an exact rational, got {r!r}")
-    if r < 0:
-        raise DomainError("negative rationals are outside this domain")
-    if r == 0:
-        return INFINITY
-    count = 0
-    n = r.numerator
-    while n % p == 0:
-        n //= p
-        count += 1
-    if count:
-        return count
-    d = r.denominator
-    while d % p == 0:
-        d //= p
-        count -= 1
-    return count

@@ -110,17 +110,26 @@ class _ExprParser:
         if self.peek() == "//":
             self.take()
             tok, at = self.take()
-            if not tok.isdigit() or int(tok) == 0:
+            k = self.const(tok, at) if tok.isdigit() else 0
+            if k == 0:
                 raise SpecSyntaxError(
                     f"floor division needs a positive integer constant in {self.source!r}",
                     line=1, column=at + 1)
-            node = ("//", node, ("const", int(tok)))
+            node = ("//", node, ("const", k))
         return node
+
+    def const(self, tok: str, at: int) -> int:
+        try:
+            return int(tok)
+        except ValueError:  # past Python's int/str digit limit
+            raise SpecSyntaxError(
+                f"integer constant of {len(tok)} digits is too long in "
+                "numerator expression", line=1, column=at + 1) from None
 
     def atom(self):
         tok, at = self.take()
         if tok.isdigit():
-            return ("const", int(tok))
+            return ("const", self.const(tok, at))
         if tok in ("n", "p"):
             return ("var", tok)
         if tok == "(":
@@ -384,6 +393,8 @@ def parse_spec(text: str) -> MonoidSpec:
         raise SpecSyntaxError(exc.msg, line=exc.lineno, column=exc.colno) from exc
     except RecursionError as exc:
         raise SpecSyntaxError("JSON nests too deeply to parse") from exc
+    except ValueError as exc:  # past Python's int/str digit limit
+        raise SpecSyntaxError("JSON holds an integer with too many digits") from exc
     if not isinstance(doc, dict):
         raise SpecValidationError("top level must be an object")
     extra = set(doc) - {"schema", "families", "metadata"}

@@ -1,6 +1,7 @@
 import argparse
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,8 @@ DEEP_OR_LONG = pytest.mark.parametrize(
     "expr", ["(" * 600 + "n" + ")" * 600, "+".join(["n"] * 1500)],
     ids=["nested", "long"])
 TOO_DEEP = f"error: numerator expression nests deeper than {MAX_EXPR_DEPTH} levels\n"
+# Python 3.11 and later refuse int <-> str conversions past 4,300 digits
+PAST_DIGIT_LIMIT = "1" * 5001
 
 EXPLICIT_HALF_THIRD = """
 {"schema": 1,
@@ -160,6 +163,12 @@ class TestDensity:
                             "--b-seq", "n", "--target", "2",
                             "--epsilon", "1/10")
         assert code == 1 and "variable n" in err
+
+    def test_constant_past_the_digit_limit(self, capsys):
+        assert _run(capsys, "density", "--a-seq", PAST_DIGIT_LIMIT,
+                    "--b-seq", "n", "--target", "2", "--epsilon", "1/2") == (
+            1, "", "error: integer constant of 5001 digits is too long in "
+                   "numerator expression (line 1, column 1)\n")
 
 
 class TestBifurcusCommands:
@@ -406,6 +415,35 @@ class TestFailureModes:
         code, out, err = _run(capsys, *argv, path)
         assert (code, out) == (1, "")
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [["atoms", "--spec"],
+                                      ["verify-bifurcus", "--bound", "3/2",
+                                       "--staged"]], ids=["spec", "staged"])
+    def test_json_integer_past_the_digit_limit(self, capsys, tmp_path, argv):
+        path = _write(tmp_path, '{"schema": ' + PAST_DIGIT_LIMIT + "}")
+        code, out, err = _run(capsys, *argv, path)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "too many digits" in err
+
+    @pytest.mark.parametrize("key, command", [("atom_inf", "atoms"),
+                                              ("not_ff_witness", "status")])
+    def test_metadata_literal_past_the_digit_limit(self, capsys, tmp_path,
+                                                   key, command):
+        doc = json.loads(Path(_catalog_file(tmp_path, "bfnotff")).read_text(
+            encoding="utf-8"))
+        doc["metadata"][key] = PAST_DIGIT_LIMIT
+        spec = _write(tmp_path, json.dumps(doc))
+        assert _run(capsys, command, "--spec", spec) == (
+            1, "", "error: rational literal of 5001 characters has too many digits\n")
+
+    def test_result_past_the_digit_limit(self, capsys, tmp_path):
+        # the elasticity (7...7/2)/(1/3...3) has about 8,000 digits
+        spec = _write(tmp_path, json.dumps(
+            {"schema": 1, "families": [{"kind": "explicit", "generators": [
+                "1/" + "3" * 4000, "7" * 4000 + "/2"]}]}))
+        for fmt in ("text", "json"):
+            assert _run(capsys, "elasticity", "--spec", spec, "--format", fmt) == (
+                1, "", "error: result has too many digits to print\n")
 
     def test_non_member_element(self, capsys, tmp_path):
         spec = _write(tmp_path, EXPLICIT_HALF_THIRD)

@@ -4,13 +4,14 @@ from pathlib import Path
 import pytest
 
 from oracles import sieve
+from puiseux import constructions
 from puiseux.constructions import (BASE_GENERATORS, CATALOG_NAMES, AtomPair,
                                    bifurcus_build, bifurcus_verify, catalog,
                                    load_staged, staged_from_dict,
                                    staged_from_json, staged_to_dict,
                                    staged_to_json)
 from puiseux.errors import DomainError, SpecValidationError
-from puiseux.monoid import truncate
+from puiseux.monoid import sweep, truncate
 
 DATA = Path(__file__).parent / "data"
 
@@ -137,6 +138,18 @@ class TestBifurcusBuild:
                                               if q >= floor and q not in used)
                     used.add(pair.prime)
 
+    @pytest.mark.filterwarnings("ignore:stage")
+    @pytest.mark.parametrize("num_stages, bound", [
+        (3, Fraction(7, 5)), (2, Fraction(9, 5)), (2, Fraction(7, 4)),
+        (4, Fraction(3, 2))])
+    def test_recorded_reducibles_are_the_sweeps(self, num_stages, bound):
+        sm = bifurcus_build(num_stages, bound)
+        assert len(sm.reducibles) == num_stages
+        for stage, recorded in zip(sm.stages, sm.reducibles):
+            assert recorded == tuple(
+                stage.unscale(v) for v, (lo, _hi, _n)
+                in sweep(stage, bound).items() if lo >= 2)
+
     def test_records_match_fixture(self):
         # captured from the build before atom reduction and the prime
         # search were reworked
@@ -157,8 +170,13 @@ class TestBifurcusBuild:
 
 
 class TestBifurcusVerify:
-    def test_two_stage_build_verifies(self):
+    def test_two_stage_build_verifies(self, monkeypatch):
         sm = bifurcus_build(2, Fraction(3, 2))
+
+        def no_sweep(*_args, **_kwargs):
+            raise AssertionError("verification swept a stage")
+
+        monkeypatch.setattr(constructions, "sweep", no_sweep)
         v = bifurcus_verify(sm, Fraction(3, 2))
         assert v.passed
         assert v.min_element == Fraction(1, 3) and v.min_ok
@@ -170,10 +188,18 @@ class TestBifurcusVerify:
         sm = bifurcus_build(2, Fraction(3, 2))
         assert bifurcus_verify(sm, Fraction(7, 6)).passed
 
+    @pytest.mark.parametrize("bound", [Fraction(1, 4), 0])
+    def test_bound_below_the_least_atom_fails(self, bound):
+        v = bifurcus_verify(bifurcus_build(2, Fraction(3, 2)), bound)
+        assert v.min_element is None and not v.min_ok
+        assert v.coverage_ok and not v.passed
+
     def test_bound_above_build_bound_rejected(self):
         sm = bifurcus_build(1, Fraction(3, 2))
         with pytest.raises(DomainError, match="exceeds the build bound"):
             bifurcus_verify(sm, Fraction(2))
+        with pytest.raises(DomainError, match="bound must be nonnegative"):
+            bifurcus_verify(sm, Fraction(-1, 3))
 
 
 class TestStagedSerialization:

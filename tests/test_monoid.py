@@ -183,7 +183,6 @@ class TestIsPrimary:
         tm = truncate(catalog("primarydense", 6), 6)
         report = is_primary(tm)
         assert report.is_primary
-        assert report.prime_of_atom[Fraction(2, 3)] == 3
 
     def test_shared_prime_not_primary(self):
         tm = from_generators([Fraction(2, 5), Fraction(3, 5)])

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from oracles import first_primes, sieve
 from puiseux import primes
 from puiseux.errors import DomainError, SpecValidationError
-from puiseux.primes import (FILTER_ALL, PrimeFilter, is_prime,
-                            next_prime_at_least, prime_seq)
+from puiseux.primes import PrimeFilter, is_prime, next_prime_at_least, prime_seq
 
 
 class TestIsPrime:
@@ -48,7 +47,7 @@ class TestPrimeFilter:
                 PrimeFilter.parse(bad)
 
     def test_all_sequence(self):
-        assert prime_seq(FILTER_ALL, 8) == [2, 3, 5, 7, 11, 13, 17, 19]
+        assert prime_seq(PrimeFilter("all"), 8) == [2, 3, 5, 7, 11, 13, 17, 19]
 
     def test_odd_sequence(self):
         assert prime_seq(PrimeFilter.parse("odd"), 4) == [3, 5, 7, 11]
@@ -61,7 +60,7 @@ class TestPrimeFilter:
 
     def test_nth_is_one_indexed(self):
         assert PrimeFilter.parse("exclude:[3]").nth(2) == 5
-        assert FILTER_ALL.nth(13) == 41
+        assert PrimeFilter("all").nth(13) == 41
 
     @given(st.integers(1, 60))
     def test_nth_matches_sequence(self, n):
@@ -108,16 +107,13 @@ class TestPrimeTable:
 
     def test_nth_rejects_index_zero(self):
         with pytest.raises(DomainError):
-            FILTER_ALL.nth(0)
+            PrimeFilter("all").nth(0)
 
 
 class TestNextPrimeAtLeast:
     def test_basic(self):
         assert next_prime_at_least(13) == 13
         assert next_prime_at_least(14) == 17
-
-    def test_skips_used(self):
-        assert next_prime_at_least(13, used={13, 17}) == 19
 
     @given(st.integers(2, 10 ** 5))
     @settings(max_examples=50)

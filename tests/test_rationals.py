@@ -5,8 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from puiseux.errors import DomainError
-from puiseux.rationals import (INFINITY, canonical, format_rational, num_den,
-                               padic_val, parse_rational)
+from puiseux.rationals import INFINITY, canonical, format_rational, parse_rational
 
 
 class TestCanonical:
@@ -76,33 +75,3 @@ class TestInfinity:
 
     def test_hashable_singleton(self):
         assert {INFINITY, INFINITY} == {INFINITY}
-
-
-class TestPadicVal:
-    def test_positive_exponent(self):
-        assert padic_val(2, Fraction(12)) == 2
-        assert padic_val(3, Fraction(12)) == 1
-
-    def test_negative_exponent(self):
-        assert padic_val(5, Fraction(3, 25)) == -2
-
-    def test_unit(self):
-        assert padic_val(7, Fraction(3, 5)) == 0
-
-    def test_zero_is_infinite(self):
-        assert padic_val(2, Fraction(0)) is INFINITY
-
-    def test_rejects_composite(self):
-        with pytest.raises(DomainError):
-            padic_val(6, Fraction(1, 2))
-
-    @given(st.sampled_from([2, 3, 5, 7, 11]),
-           st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
-    def test_additive_under_multiplication(self, p, a, b):
-        x, y = Fraction(a), Fraction(1, b)
-        assert padic_val(p, x * y) == padic_val(p, x) + padic_val(p, y)
-
-    def test_num_den(self):
-        assert num_den(Fraction(6, 4)) == (3, 2)
-        with pytest.raises(DomainError):
-            num_den(Fraction(0))
