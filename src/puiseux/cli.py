@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -42,6 +43,12 @@ def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError as exc:
+        digits = text.strip()
+        digits = digits[1:] if digits[:1] in ("+", "-") else digits
+        if digits.isdecimal():  # past Python's int/str digit limit
+            raise argparse.ArgumentTypeError(
+                f"integer of {len(digits)} digits is too long: "
+                f"{digits[:20]}...") from exc
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
@@ -227,11 +234,22 @@ def _cmd_shift_check(args) -> int:
 
 
 def _seq_from_expr(source: str):
+    """a_1, a_2, ... for an expression in n, evaluated a block of n at a
+    time: 16 values first, each next block twice as many up to 1,024, so
+    a short search stays cheap and memory stays flat for any budget."""
     if "p" in source:
         raise DomainError(
             f"sequence expression {source!r} may only use the variable n")
     expr = NumeratorExpr.parse(source)
-    return lambda i: expr.evaluate(i, 0)
+
+    def blocks():
+        start, size = 1, 16
+        while True:
+            yield expr.values(range(start, start + size), [0] * size)
+            start += size
+            size = min(2 * size, 1024)
+
+    return itertools.chain.from_iterable(blocks())
 
 
 def _cmd_density(args) -> int:

@@ -256,17 +256,19 @@ def density_witness(a_seq, b_seq, target, epsilon, budget_n: int = 10_000,
                     budget_k: int = 10_000_000) -> DensityWitness:
     """Find (n, k) with |(a_n + k)/(b_n + k) - target| < epsilon.
 
-    `a_seq` and `b_seq` map n to integers.  Two-stage search: walk n
-    until the gap c_n = a_n - b_n is positive and fine enough
-    (1/c_n < epsilon), then test the integers bracketing the exact
-    solution k* = c_n/(target-1) - b_n, clamped into [1, budget_k]
-    (targets at the supremum of a_n/b_n push k* below 1; k = 1 then
-    gives the closest approach from below).  With target = Q/R and
-    epsilon = E/F every test is on integers: the gap test is
-    F < c_n*E, and, as b_n + k > 0, a candidate is accepted when
-    |(a_n+k)*R - Q*(b_n+k)|*F < E*R*(b_n+k).  Only the returned witness
-    builds its ratio and error as fractions.  Not-found happens only
-    when the budgets run out.
+    `a_seq` and `b_seq` are iterables of the integers a_1, a_2, ... and
+    b_1, b_2, ...; the search reads them in step, n = 1, 2, ....
+    Two-stage search: walk n until the gap c_n = a_n - b_n is positive
+    and fine enough (1/c_n < epsilon), then test the integers
+    bracketing the exact solution k* = c_n/(target-1) - b_n, clamped
+    into [1, budget_k] (targets at the supremum of a_n/b_n push k*
+    below 1; k = 1 then gives the closest approach from below).  With
+    target = Q/R and epsilon = E/F every test is on integers: the gap
+    test is F < c_n*E, and, as b_n + k > 0, a candidate is accepted
+    when |(a_n+k)*R - Q*(b_n+k)|*F < E*R*(b_n+k).  Only the returned
+    witness builds its ratio and error as fractions.  Not-found happens
+    only when the budgets run out or a sequence ends: a finite
+    sequence ends the search at its last term.
     """
     q = target if isinstance(target, Fraction) else Fraction(target)
     eps = epsilon if isinstance(epsilon, Fraction) else Fraction(epsilon)
@@ -280,8 +282,7 @@ def density_witness(a_seq, b_seq, target, epsilon, budget_n: int = 10_000,
     E, F = eps.numerator, eps.denominator
     T = Q - R
     tried = 0
-    for n in range(1, budget_n + 1):
-        a, b = a_seq(n), b_seq(n)
+    for n, a, b in zip(range(1, budget_n + 1), a_seq, b_seq):
         if a <= b or b < 1:
             continue
         c = a - b

@@ -17,9 +17,11 @@ stability of a family syntactically decidable.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import SpecSyntaxError, SpecValidationError
 from .primes import PrimeFilter, prime_seq
@@ -28,8 +30,9 @@ from .rationals import INFINITY, format_rational, parse_rational
 SCHEMA_VERSION = 1
 
 # Deepest numerator expression accepted, counting each open parenthesis
-# and each chained operator as one level: the parser and the evaluator
-# recurse once per level, so this keeps both far from Python's limit.
+# and each chained operator as one level: the parser recurses once per
+# level (evaluation walks the tree on an explicit stack), so this keeps
+# it far from Python's limit.
 MAX_EXPR_DEPTH = 100
 
 _TOKEN_RE = re.compile(r"\s*(\d+|//|[np+\-*()])")
@@ -155,30 +158,33 @@ def _depth(node) -> int:
     return deepest
 
 
-def _eval(node, n: int, p: int) -> int:
-    op = node[0]
-    if op == "const":
-        return node[1]
-    if op == "var":
-        return n if node[1] == "n" else p
-    a = _eval(node[1], n, p)
-    b = _eval(node[2], n, p)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    return a // b
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "//": operator.floordiv}
 
 
-def _has_var(node) -> bool:
-    op = node[0]
-    if op == "const":
-        return False
-    if op == "var":
-        return True
-    return _has_var(node[1]) or _has_var(node[2])
+def _fold(node, ns, ps):
+    """The expression over the columns ns (values of n) and ps (values
+    of p): an int when it has no variable, else an iterable of ints.
+    One post-order walk on an explicit stack; each operator is mapped
+    over whole columns, and an int operand is broadcast."""
+    cols = {"n": ns, "p": ps}
+    todo, done = [node], []
+    while todo:
+        item = todo.pop()
+        if type(item) is not tuple:  # an operator whose operands are done
+            b, a = done.pop(), done.pop()
+            if type(a) is int and type(b) is int:
+                done.append(item(a, b))
+            else:
+                done.append(map(item, repeat(a) if type(a) is int else a,
+                                repeat(b) if type(b) is int else b))
+        elif item[0] == "const":
+            done.append(item[1])
+        elif item[0] == "var":
+            done.append(cols[item[1]])
+        else:
+            todo += (_BINARY[item[0]], item[2], item[1])
+    return done[0]
 
 
 @dataclass(frozen=True)
@@ -192,11 +198,17 @@ class NumeratorExpr:
             raise SpecValidationError(f"numerator must be a string, got {source!r}")
         return cls(source, _ExprParser(source).parse())
 
+    def values(self, ns, ps) -> list[int]:
+        """The expression at each pair (ns[i], ps[i]); ns and ps are
+        sequences of equal length."""
+        col = _fold(self.ast, ns, ps)
+        return [col] * len(ns) if type(col) is int else list(col)
+
     def evaluate(self, n: int, p: int) -> int:
-        return _eval(self.ast, n, p)
+        return self.values((n,), (p,))[0]
 
     def is_constant(self) -> bool:
-        return not _has_var(self.ast)
+        return type(_fold(self.ast, (), ())) is int
 
 
 @dataclass(frozen=True)
@@ -265,10 +277,8 @@ class GeneratorFamily:
         idx = self.indices(depth)
         if not idx:
             return out
-        primes = prime_seq(self.prime_filter, idx.stop - 1)
-        for n in idx:
-            p = primes[n - 1]
-            a = self.numerator.evaluate(n, p)
+        primes = prime_seq(self.prime_filter, idx.stop - 1)[idx.start - 1:]
+        for n, p, a in zip(idx, primes, self.numerator.values(idx, primes)):
             if a <= 0:
                 raise SpecValidationError(
                     f"numerator {self.numerator.source!r} is {a} at index {n}; "

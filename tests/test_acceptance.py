@@ -11,6 +11,7 @@ import io
 import random
 import time
 from fractions import Fraction
+from itertools import count
 
 import oracles
 from puiseux import cli
@@ -165,7 +166,8 @@ def test_criterion_07_density_target_grids():
         ]
         for a_seq, b_seq, targets in grids:
             for target in targets:
-                r = density_witness(a_seq, b_seq, target, eps)
+                r = density_witness(map(a_seq, count(1)), map(b_seq, count(1)),
+                                    target, eps)
                 assert r.found and abs(r.ratio - target) < eps
 
     _report(7, 10, body)

@@ -1,15 +1,24 @@
 import argparse
+import contextlib
+import io
+import itertools
 import json
+import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from puiseux import cli
 from puiseux.factorization import factorizations
 from puiseux.monoid import elements_up_to, truncate
 from puiseux.rationals import format_rational
 from puiseux.specfile import MAX_EXPR_DEPTH, load_spec
+
+from oracles import brute_density_search
 
 # 600 nested parentheses exhausted the parser's recursion; a 1,500-term
 # sum built a tree that evaluation recursed down.
@@ -19,6 +28,9 @@ DEEP_OR_LONG = pytest.mark.parametrize(
 TOO_DEEP = f"error: numerator expression nests deeper than {MAX_EXPR_DEPTH} levels\n"
 # Python 3.11 and later refuse int <-> str conversions past 4,300 digits
 PAST_DIGIT_LIMIT = "1" * 5001
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+# every character the numerator tokenizer knows
+EXPR_ALPHABET = "0123456789np+-*/() "
 
 EXPLICIT_HALF_THIRD = """
 {"schema": 1,
@@ -169,6 +181,86 @@ class TestDensity:
                     "--b-seq", "n", "--target", "2", "--epsilon", "1/2") == (
             1, "", "error: integer constant of 5001 digits is too long in "
                    "numerator expression (line 1, column 1)\n")
+
+
+class TestDensityBlocks:
+    """The CLI evaluates a sequence over blocks of n: 16 values, then
+    twice as many each time up to 1,024, so the blocks are [1, 16],
+    [17, 48], [49, 112], ..., [497, 1008], [1009, 2032], [2033, 3056]."""
+
+    @pytest.mark.parametrize("n", [16, 17, 48, 49, 112, 113, 2032, 2033])
+    def test_witness_at_a_block_edge(self, capsys, n):
+        # the gap of 2n - 1 over n is n - 1, which first passes 1/eps at n
+        eps = Fraction(1, n - 2)
+        hit, _ = brute_density_search(lambda i: 2 * i - 1, lambda i: i,
+                                      Fraction(3, 2), eps, n, 10_000_000)
+        assert hit[0] == n
+        code, out, _ = _run(capsys, "density", "--a-seq", "2*n - 1",
+                            "--b-seq", "n", "--target", "3/2",
+                            "--epsilon", format_rational(eps),
+                            "--budget-n", str(n))
+        assert (code, out) == (0, f"found: n={n} k={hit[1]} "
+                                  f"ratio={format_rational(hit[2])} "
+                                  f"error={format_rational(hit[3])}\n")
+
+    def test_blocks_join_into_the_sequence(self):
+        seq = cli._seq_from_expr("(n*n - 7*n)//3 - 40")
+        assert list(itertools.islice(seq, 3100)) == [
+            (n * n - 7 * n) // 3 - 40 for n in range(1, 3101)]
+
+    def test_memory_stays_flat_as_the_budget_grows(self, capsys):
+        # the gap 1 never passes 1/eps, so each n only reads both
+        # sequences: cheap even under tracemalloc, which slows every
+        # allocation
+        argv = ("density", "--a-seq", "n + 1", "--b-seq", "n",
+                "--target", "3", "--epsilon", "1/1000", "--budget-n")
+        _run(capsys, *argv, "10")  # builds the parser outside the trace
+
+        def peak(budget):
+            tracemalloc.start()
+            try:
+                code, out, _ = _run(capsys, *argv, str(budget))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 1 and out.startswith("not found:")
+            return peak
+
+        assert peak(200_000) <= 1.5 * peak(20_000)
+
+
+def _exit_and_stderr(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # a usage error
+            code = exc.code
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_spec(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "spec.json"
+
+
+class TestExpressionFuzz:
+    @given(st.text(EXPR_ALPHABET, max_size=24))
+    @settings(max_examples=150, deadline=None)
+    def test_density_sequence(self, source):
+        code, err = _exit_and_stderr(
+            ["density", "--a-seq", source, "--b-seq", "n", "--target", "2",
+             "--epsilon", "1/2", "--budget-n", "50"])
+        assert code in (0, 1, 2) and "Traceback" not in err
+
+    @given(st.text(EXPR_ALPHABET, max_size=24))
+    @settings(max_examples=150, deadline=None)
+    def test_spec_numerator(self, fuzz_spec, source):
+        fuzz_spec.write_text(json.dumps({"schema": 1, "families": [
+            {"kind": "symbolic", "numerator": source}]}), encoding="utf-8")
+        code, err = _exit_and_stderr(["atoms", "--spec", str(fuzz_spec),
+                                      "--depth", "2"])
+        assert code in (0, 1, 2) and "Traceback" not in err
 
 
 class TestBifurcusCommands:
@@ -377,6 +469,22 @@ class TestFailureModes:
                 cli.main(argv)
             assert exc_info.value.code == 2
             capsys.readouterr()
+
+    @pytest.mark.skipif(not 0 < INT_DIGIT_LIMIT < 5000,
+                        reason="int() reads 5,000 digits without a limit")
+    @pytest.mark.parametrize("argv", [
+        ["atoms", "--spec", "{spec}", "--depth"],
+        ["density", "--a-seq", "n+1", "--b-seq", "n", "--target", "2",
+         "--epsilon", "1/2", "--budget-n"]], ids=["depth", "budget-n"])
+    def test_integer_option_past_the_digit_limit(self, capsys, tmp_path, argv):
+        spec = _write(tmp_path, EXPLICIT_HALF_THIRD)
+        argv = [a.replace("{spec}", spec) for a in argv]
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main([*argv, "7" * 5000])
+        err = capsys.readouterr().err
+        assert exc_info.value.code == 2
+        assert "integer of 5000 digits is too long" in err
+        assert "7" * 21 not in err and len(err) < 1000
 
     def test_missing_spec_file(self, capsys, tmp_path):
         code, out, err = _run(capsys, "atoms", "--spec",

@@ -2,6 +2,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from hypothesis import example, given, settings
@@ -277,17 +278,20 @@ class TestPredictedElasticities:
 
 class TestDensityWitness:
     def test_exact_hits(self):
-        r = density_witness(lambda n: 2 * n - 1, lambda n: n,
+        r = density_witness(map(lambda n: 2 * n - 1, count(1)),
+                            map(lambda n: n, count(1)),
                             Fraction(3, 2), Fraction(1, 100))
         assert r.found and r.ratio == Fraction(3, 2) and r.error == 0
-        r = density_witness(lambda n: n * n, lambda n: n,
+        r = density_witness(map(lambda n: n * n, count(1)),
+                            map(lambda n: n, count(1)),
                             Fraction(2), Fraction(1, 100))
         assert r.found and r.ratio == Fraction(2)
 
     def test_filtered_prime_sequence(self):
         from puiseux.primes import PrimeFilter
         seq = PrimeFilter.parse("exclude:[3]")
-        r = density_witness(lambda n: seq.nth(n), lambda n: 2 * n,
+        r = density_witness(map(lambda n: seq.nth(n), count(1)),
+                            map(lambda n: 2 * n, count(1)),
                             Fraction(5, 4), Fraction(1, 100), budget_n=100)
         assert r.found and abs(r.ratio - Fraction(5, 4)) < Fraction(1, 100)
 
@@ -296,7 +300,8 @@ class TestDensityWitness:
     def test_never_misses_by_epsilon(self, i):
         target = 1 + Fraction(i, 99)
         eps = Fraction(1, 100)
-        r = density_witness(lambda n: 2 * n - 1, lambda n: n, target, eps)
+        r = density_witness(map(lambda n: 2 * n - 1, count(1)),
+                            map(lambda n: n, count(1)), target, eps)
         assert r.found and abs(r.ratio - target) < eps
         assert r.n >= 1 and r.k >= 1
 
@@ -318,8 +323,8 @@ class TestDensityWitness:
         def a_seq(n):
             return b_seq(n) + cc[0] + cc[1] * n + cc[2] * n * n
 
-        r = density_witness(a_seq, b_seq, target, eps,
-                            budget_n=budget_n, budget_k=budget_k)
+        r = density_witness(map(a_seq, count(1)), map(b_seq, count(1)),
+                            target, eps, budget_n=budget_n, budget_k=budget_k)
         hit, tried = brute_density_search(a_seq, b_seq, target, eps,
                                           budget_n, budget_k)
         if hit is None:
@@ -330,18 +335,22 @@ class TestDensityWitness:
             assert r.diagnostics is None
 
     def test_budget_exhaustion_reports(self):
-        r = density_witness(lambda n: 2 * n - 1, lambda n: n,
+        r = density_witness(map(lambda n: 2 * n - 1, count(1)),
+                            map(lambda n: n, count(1)),
                             Fraction(3), Fraction(1, 1000), budget_n=200)
         assert not r.found and "budget" in r.diagnostics
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            density_witness(lambda n: n, lambda n: n, Fraction(1, 2),
+            density_witness(map(lambda n: n, count(1)),
+                            map(lambda n: n, count(1)), Fraction(1, 2),
                             Fraction(1, 10))
         with pytest.raises(DomainError):
-            density_witness(lambda n: n, lambda n: n, Fraction(2), Fraction(0))
+            density_witness(map(lambda n: n, count(1)),
+                            map(lambda n: n, count(1)), Fraction(2), Fraction(0))
         with pytest.raises(DomainError):
-            density_witness(lambda n: n + 1, lambda n: n, Fraction(2),
+            density_witness(map(lambda n: n + 1, count(1)),
+                            map(lambda n: n, count(1)), Fraction(2),
                             Fraction(1, 10), budget_k=0)
 
 

@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from puiseux.errors import SpecSyntaxError, SpecValidationError
@@ -10,6 +10,44 @@ from puiseux.primes import PrimeFilter
 from puiseux.rationals import INFINITY
 from puiseux.specfile import (MAX_EXPR_DEPTH, GeneratorFamily, Metadata,
                               MonoidSpec, NumeratorExpr, parse_spec, spec_to_json)
+
+
+def _branches(children):
+    """Binary nodes over children; floor division is by a positive constant."""
+    return st.one_of(
+        st.tuples(st.sampled_from("+-*"), children, children),
+        st.tuples(st.just("//"), children,
+                  st.integers(1, 7).map(lambda k: ("const", k))))
+
+
+def _trees():
+    leaves = st.one_of(st.integers(0, 40).map(lambda k: ("const", k)),
+                       st.sampled_from([("var", "n"), ("var", "p")]))
+    return st.recursive(leaves, _branches, max_leaves=16)
+
+
+def _render(tree) -> str:
+    """Fully parenthesized source of a tree."""
+    if tree[0] == "const":
+        return str(tree[1])
+    if tree[0] == "var":
+        return tree[1]
+    return f"({_render(tree[1])}{tree[0]}{_render(tree[2])})"
+
+
+def _reference(tree, n, p) -> int:
+    if tree[0] == "const":
+        return tree[1]
+    if tree[0] == "var":
+        return n if tree[1] == "n" else p
+    a, b = _reference(tree[1], n, p), _reference(tree[2], n, p)
+    if tree[0] == "+":
+        return a + b
+    if tree[0] == "-":
+        return a - b
+    if tree[0] == "*":
+        return a * b
+    return a // b
 
 
 class TestNumeratorExpr:
@@ -44,6 +82,41 @@ class TestNumeratorExpr:
         assert expr.evaluate(3, 5) == value(MAX_EXPR_DEPTH)
         with pytest.raises(SpecSyntaxError, match="nests deeper than"):
             NumeratorExpr.parse(shape(MAX_EXPR_DEPTH + 1))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_values_match_a_reference_evaluator(self, data):
+        tree = data.draw(_trees())
+        ns = data.draw(st.lists(st.integers(-30, 30), max_size=8))
+        ps = data.draw(st.lists(st.integers(-30, 30), min_size=len(ns),
+                                max_size=len(ns)))
+        expr = NumeratorExpr.parse(_render(tree))
+        assert expr.values(ns, ps) == [_reference(tree, n, p)
+                                       for n, p in zip(ns, ps)]
+
+    @given(st.recursive(st.integers(0, 40).map(lambda k: ("const", k)),
+                        _branches, max_leaves=12))
+    def test_constant_expression_fills_the_column(self, tree):
+        expr = NumeratorExpr.parse(_render(tree))
+        assert expr.is_constant()
+        assert expr.values([1, 2, 3], [2, 3, 5]) == [_reference(tree, 0, 0)] * 3
+
+    def test_values_at_the_depth_limit(self):
+        # a chain of MAX_EXPR_DEPTH operators over both variables, with
+        # floor divisions of negative intermediates
+        steps = [("-", ("var", "p")), ("//", ("const", 3)),
+                 ("*", ("var", "n")), ("+", ("const", 2))]
+        tree = ("var", "n")
+        for level in range(MAX_EXPR_DEPTH):
+            op, right = steps[level % 4]
+            tree = (op, tree, right)
+        expr = NumeratorExpr.parse(_render(tree))
+        ns, ps = list(range(-4, 5)), [2, 3, 5, 7, 11, 13, 17, 19, 23]
+        assert expr.values(ns, ps) == [_reference(tree, n, p)
+                                       for n, p in zip(ns, ps)]
+        with pytest.raises(SpecSyntaxError, match="nests deeper than"):
+            NumeratorExpr.parse(_render(("+", tree, ("const", 1))))
+        assert NumeratorExpr.parse("n").values([], []) == []
 
     def test_is_constant(self):
         assert NumeratorExpr.parse("30").is_constant()
