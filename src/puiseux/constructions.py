@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -171,13 +172,17 @@ class StagedMonoid:
 
 def _not_split_in_two(tm: TruncatedMonoid, xs) -> list[Fraction]:
     """The x in xs that are not a sum of two atoms of tm, tested on
-    scaled integers against one set of scaled atoms."""
+    scaled integers against one set of scaled atoms.  A split X = A + B
+    has min(A, B) <= X/2, so only the atoms up to X/2 are probed, from
+    X/2 down: the construction splits a reducible as a/2 -/+ 1/p, so the
+    lower atom of its pair lies just below X/2."""
     gens = tm.scaled_gens
     gen_set = set(gens)
     out = []
     for x in xs:
         X = tm.scale(x)
-        if X is None or not any(X - A in gen_set for A in gens):
+        if X is None or not any(X - gens[k] in gen_set
+                                for k in range(bisect_right(gens, X // 2) - 1, -1, -1)):
             out.append(x)
     return out
 

@@ -1,12 +1,18 @@
-"""Complete factorization enumeration over a truncated monoid.
+"""Factorization counts, length sets and enumeration over a truncated
+monoid.
 
-A factorization of x is a multiset of atoms summing to x exactly; the
-enumerator walks atoms in descending order choosing multiplicities, on
-an explicit stack so that any number of atoms fits, and prunes any
-residual the feasibility oracle rejects, so every node of the search
-either extends to a solution or dies at the oracle.  The number of
-factorizations reported is capped (PUISEUX_CAP or the cap argument;
-default 10**6) and the cap aborts with a resource error rather than
+A factorization of x is a multiset of atoms summing to x exactly.
+FactorizationCounts walks the atoms in descending order choosing
+multiplicities, on an explicit stack so that any number of atoms fits,
+and memoizes on (level, residual) the number of factorizations and a
+bitmask of their lengths; one budget step is one memo miss.
+length_set and element_elasticity read the mask, and the shift law and
+the stable/unstable decomposition in invariants read counts and masks,
+so none of them lists a factorization.  factorizations counts first,
+then lists only along states with a nonzero count, so every node of the
+listing extends to a factorization.  The number of factorizations is
+capped (PUISEUX_CAP or the cap argument; default 10**6): the count
+raises a resource error as soon as it passes the cap, rather than
 returning silently truncated sets.
 
 length_extremes_up_to reads the shortest and longest factorization of
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, NotAMemberError, ResourceCapError
-from .monoid import Feasibility, TruncatedMonoid, WorkBudget, is_primary, sweep
+from .monoid import TruncatedMonoid, WorkBudget, _suffix_gcds, is_primary, sweep
 from .rationals import format_rational
 
 DEFAULT_CAP = 1_000_000
@@ -70,9 +76,147 @@ class Factorization:
         return " + ".join(self.term_strings()) or "0"
 
 
-def _coins_desc(tm: TruncatedMonoid) -> tuple[tuple[int, Fraction], ...]:
-    pairs = sorted(zip(tm.scaled_gens, tm.atoms), reverse=True)
-    return tuple(pairs)
+_DEAD = (0, 0)   # no factorization
+_EMPTY = (1, 1)  # the empty factorization, of length 0
+
+
+class FactorizationCounts:
+    """Number of factorizations and bitmask of their lengths for each
+    (level, residual) state of one truncation, memoized across targets.
+
+    State (i, t) stands for the combinations of the scaled integer t
+    over the descending coins[i:]; its value is (count, mask), where bit
+    L of mask is set iff some combination has L atoms.  A state sums its
+    children (i + 1, t - c*coins[i]) over the multiplicities c, each
+    child's mask shifted by c: the length recurrence
+    L(x) = union over atoms a of (L(x - a) + 1) of Barron, O'Neill and
+    Pelayo (Math. Comp. 2017), run one atom at a time.
+
+    The search is depth-first, largest multiplicity first, on an
+    explicit stack.  A child can only be reached when the gcd g' of the
+    coins after level i divides t - c*coins[i], which fixes c modulo
+    step = g'/g (g the gcd from level i on), so only every step-th
+    multiplicity is visited.  Zero residuals, residuals below the least
+    coin and the last coin are settled without a search; one budget
+    step is one memo miss, a state searched for the first time.
+    """
+
+    def __init__(self, tm: TruncatedMonoid, cap: int | None = None):
+        self.tm = tm
+        self.cap = cap
+        self.pairs = tuple(sorted(zip(tm.scaled_gens, tm.atoms), reverse=True))
+        self.coins = coins = tuple(s for (s, _a) in self.pairs)
+        self.gcds = gcds = _suffix_gcds(coins)
+        # per level below the last: the multiplicity step and the inverse
+        # of coins[i]/g modulo it
+        self.steps = tuple(gcds[i + 1] // gcds[i] for i in range(len(coins) - 1))
+        self.invs = tuple(pow(coins[i] // gcds[i], -1, k) if k > 1 else 0
+                          for i, k in enumerate(self.steps))
+        self.memo: dict = {}
+
+    def value(self, i: int, t: int):
+        """(count, mask) of (i, t) when settled or memoized, else None."""
+        coins = self.coins
+        if t == 0:
+            return _EMPTY
+        if i == len(coins) or t < coins[-1] or t % self.gcds[i]:
+            return _DEAD
+        if i == len(coins) - 1:
+            return (1, 1 << t // coins[i])
+        return self.memo.get((i, t))
+
+    def first(self, i: int, t: int) -> int:
+        """The largest multiplicity of coins[i] in t whose rest the coins
+        after it can reach modulo their gcd; the others follow every
+        steps[i].  Needs gcds[i] | t and i below the last level."""
+        q = t // self.coins[i]
+        k = self.steps[i]
+        if k == 1:
+            return q
+        return q - (q - t // self.gcds[i] % k * self.invs[i]) % k
+
+    def count(self, x, budget: WorkBudget | None = None) -> tuple[int, int]:
+        """(number of factorizations, length mask) of x.
+
+        Raises NotAMemberError when x is not in the monoid, and a
+        ResourceCapError as soon as more than the cap (the cap argument,
+        else PUISEUX_CAP or the default) factorizations of x are
+        counted.  Without a budget each call gets its own of
+        max(cap*50, 10**7) steps.
+        """
+        f = x if isinstance(x, Fraction) else Fraction(x)
+        if f < 0:
+            raise DomainError("factorizations are defined for nonnegative elements")
+        if f == 0:
+            return _EMPTY
+        limit = self.cap if self.cap is not None else default_cap()
+        t = self.tm.scale(f)
+        if t is None:
+            raise NotAMemberError(f"{format_rational(f)} is not in the monoid")
+        if budget is None:
+            budget = WorkBudget(max(limit * 50, 10_000_000))
+        found = self._search(t, limit, budget)
+        if not found[0]:
+            raise NotAMemberError(f"{format_rational(f)} is not in the monoid")
+        return found
+
+    def lengths(self, x, budget: WorkBudget | None = None) -> tuple[int, ...]:
+        """The sorted length set of x, read off its mask; (0,) for x = 0."""
+        mask = self.count(x, budget)[1]
+        return tuple(i for i, bit in enumerate(reversed(bin(mask))) if bit == "1")
+
+    def _search(self, t: int, limit: int, budget: WorkBudget) -> tuple[int, int]:
+        """(count, mask) of (0, t); found counts the factorizations of t
+        the search has passed, so it raises at the first that exceeds
+        limit."""
+        root = self.value(0, t)
+        if root is not None:
+            if root[0] > limit:
+                self._over(t, limit)
+            return root
+        coins, steps, memo, first = self.coins, self.steps, self.memo, self.first
+        last = len(coins) - 1
+        least = coins[last]
+        budget.spend()
+        found = 0
+        stack = [[0, t, first(0, t), 0, 0]]  # level, residual, next mult, count, mask
+        while True:
+            frame = stack[-1]
+            i, res, c, n, m = frame
+            if c < 0:
+                memo[i, res] = done = (n, m) if n else _DEAD  # most states are dead
+                stack.pop()
+                if not stack:
+                    return done
+                parent = stack[-1]
+                parent[3] += n
+                parent[4] |= m << parent[2] + steps[parent[0]]
+                continue
+            frame[2] = c - steps[i]
+            r = res - c * coins[i]
+            if r == 0:
+                child = _EMPTY
+            elif r < least:
+                continue
+            elif i + 1 == last:  # the gcd there is the last coin itself
+                child = (1, 1 << r // least)
+            else:
+                child = memo.get((i + 1, r))
+                if child is None:
+                    budget.spend()
+                    stack.append([i + 1, r, first(i + 1, r), 0, 0])
+                    continue
+            if child[0]:
+                frame[3] = n + child[0]
+                frame[4] = m | child[1] << c
+                found += child[0]
+                if found > limit:
+                    self._over(t, limit)
+
+    def _over(self, t: int, limit: int):
+        raise ResourceCapError(
+            f"more than {limit} factorizations of "
+            f"{format_rational(self.tm.unscale(t))}; raise the cap to enumerate")
 
 
 def factorizations(tm: TruncatedMonoid, x, cap: int | None = None,
@@ -80,60 +224,50 @@ def factorizations(tm: TruncatedMonoid, x, cap: int | None = None,
     """All factorizations of x, sorted by their rendered form.
 
     Raises NotAMemberError when x is not in the monoid; x = 0 yields
-    exactly the empty factorization.
+    exactly the empty factorization.  The count comes first, so a cap
+    stops the run before anything is listed.
     """
     f = x if isinstance(x, Fraction) else Fraction(x)
-    if f < 0:
-        raise DomainError("factorizations are defined for nonnegative elements")
+    table = FactorizationCounts(tm, cap)
+    table.count(f)
     if f == 0:
         return (Factorization(terms=()),)
-    limit = cap if cap is not None else default_cap()
-    target = tm.scale(f)
-    if target is None:
-        raise NotAMemberError(f"{format_rational(f)} is not in the monoid")
-    pairs = _coins_desc(tm)
-    coins = tuple(s for (s, _a) in pairs)
-    oracle = Feasibility(coins, WorkBudget(max(limit * 50, 10_000_000)))
-    found: list[Factorization] = []
-    path: list[tuple[Fraction, int]] = []  # (atom, multiplicity) chosen so far
-    frames: list[list[int]] = []  # level, residual, next multiplicity, len(path)
+    pairs, value, first, steps = table.pairs, table.value, table.first, table.steps
     last = len(pairs) - 1
-
-    def enter(i: int, t: int):
-        s, atom = pairs[i]
-        if i < last:
-            frames.append([i, t, t // s, len(path)])
-        elif t % s == 0:
-            terms = path + ([(atom, t // s)] if t else [])
-            if len(found) >= limit:
-                raise ResourceCapError(
-                    f"more than {limit} factorizations of "
-                    f"{format_rational(f)}; raise the cap to enumerate")
-            found.append(Factorization(terms=tuple(sorted(terms))))
-
-    enter(0, target)
+    t = tm.scale(f)
+    if not last:
+        return (Factorization(terms=((pairs[0][1], t // pairs[0][0]),)),)
+    found: list[Factorization] = []
+    path: list[tuple[Fraction, int]] = []  # (atom, multiplicity), atoms descending
+    frames = [[0, t, first(0, t), 0]]  # level, residual, next mult, len(path)
     while frames:
         frame = frames[-1]
-        i, t, c, base = frame
+        i, res, c, base = frame
         if c < 0:
             frames.pop()
             continue
-        frame[2] = c - 1
+        frame[2] = c - steps[i]
         s, atom = pairs[i]
-        r = t - c * s
-        if oracle.check(i + 1, r):
-            del path[base:]
-            if c:
-                path.append((atom, c))
-            enter(i + 1, r)
-    if not found:
-        raise NotAMemberError(f"{format_rational(f)} is not in the monoid")
+        r = res - c * s
+        if r and not value(i + 1, r)[0]:
+            continue
+        del path[base:]
+        if c:
+            path.append((atom, c))
+        if r and i + 1 < last:
+            frames.append([i + 1, r, first(i + 1, r), len(path)])
+            continue
+        terms = path[::-1]
+        if r:  # the last coin takes the rest
+            terms.insert(0, (pairs[last][1], r // pairs[last][0]))
+        found.append(Factorization(terms=tuple(terms)))
     return tuple(sorted(found, key=Factorization.render))
 
 
 def length_set(tm: TruncatedMonoid, x, cap: int | None = None) -> tuple[int, ...]:
-    """Sorted factorization lengths of x; (0,) for x = 0."""
-    return tuple(sorted({z.length for z in factorizations(tm, x, cap=cap)}))
+    """Sorted factorization lengths of x; (0,) for x = 0.  Read off the
+    count's length mask: no factorization is listed."""
+    return FactorizationCounts(tm, cap).lengths(x)
 
 
 def element_elasticity(tm: TruncatedMonoid, x, cap: int | None = None) -> Fraction:
@@ -141,8 +275,8 @@ def element_elasticity(tm: TruncatedMonoid, x, cap: int | None = None) -> Fracti
     f = x if isinstance(x, Fraction) else Fraction(x)
     if f == 0:
         raise DomainError("elasticity is undefined at 0")
-    lengths = length_set(tm, f, cap=cap)
-    return Fraction(lengths[-1], lengths[0])
+    mask = FactorizationCounts(tm, cap).count(f)[1]
+    return Fraction(mask.bit_length() - 1, (mask & -mask).bit_length() - 1)
 
 
 def length_extremes_up_to(tm: TruncatedMonoid, bound, budget=None,

@@ -21,9 +21,9 @@ from fractions import Fraction
 
 from .errors import (DomainError, InsufficientMetadataError, NotAMemberError,
                      NotDecomposableError)
-from .monoid import (TruncatedMonoid, classify_stability, contains, elements_up_to,
-                     from_generators, is_primary, sweep)
-from .factorization import factorizations, length_set
+from .monoid import (Feasibility, TruncatedMonoid, _as_budget, contains,
+                     from_generators, is_primary, origin_stability, sweep)
+from .factorization import FactorizationCounts
 from .primes import is_prime
 from .rationals import INFINITY, format_rational
 
@@ -144,6 +144,16 @@ def decompose_stable_unstable(tm: TruncatedMonoid, x, labels=None, cap=None,
     """Split x = s + u with s from the stable atoms, u from the unstable
     ones, preferring splittings whose stable part has exactly one
     factorization; flags non-uniqueness when several qualify.
+
+    The stable parts are the keys of one sweep of the stable atoms up
+    to x, as integers on x's scale, and one feasibility oracle on the
+    unstable atoms tests every rest u.  Uniqueness is a factorization
+    count, read from one memo of counts shared by all splittings, so no
+    factorization is listed; the cap still counts the factorizations
+    of each stable part and stops the run with the same error.  The
+    budget, when given, is charged by the membership tests and the
+    sweep; without one, each of them gets its own default budget.  Each
+    count gets its own budget of max(cap*50, 10**7) steps either way.
     """
     report = is_primary(tm)
     if not report.is_primary:
@@ -151,36 +161,43 @@ def decompose_stable_unstable(tm: TruncatedMonoid, x, labels=None, cap=None,
     if labels is None:
         if tm.origin is None:
             raise DomainError("no stability labels and no originating description")
-        spec, depth = tm.origin
-        labels = classify_stability(spec, depth, budget=budget)
+        labels = origin_stability(tm)
     f = x if isinstance(x, Fraction) else Fraction(x)
     if not contains(tm, f, budget=budget):
         raise NotAMemberError(f"{format_rational(f)} is not in the monoid")
+    F = tm.scale(f)
     stable_atoms = [a for a in tm.atoms if labels.get(a) == "stable"]
     unstable_atoms = [a for a in tm.atoms if labels.get(a) != "stable"]
     if stable_atoms:
-        s_candidates = elements_up_to(from_generators(stable_atoms), f, budget=budget)
+        sm = from_generators(stable_atoms)
+        k = tm.denom_lcm // sm.denom_lcm
+        stable_parts = [v * k for v in sweep(sm, f, budget)]
     else:
-        s_candidates = [Fraction(0)]
-    u_monoid = from_generators(unstable_atoms) if unstable_atoms else None
+        stable_parts = [0]
+    if unstable_atoms:
+        um = from_generators(unstable_atoms)
+        k_u = tm.denom_lcm // um.denom_lcm
+        oracle = Feasibility(tuple(sorted(um.scaled_gens, reverse=True)), budget)
 
-    def in_unstable(u):
-        if u == 0:
+    def in_unstable(U: int) -> bool:
+        if U == 0:
             return True
-        return u_monoid is not None and contains(u_monoid, u, budget=budget)
+        if not unstable_atoms or U % k_u:
+            return False
+        oracle.budget = _as_budget(budget)  # fresh per test, as contains gives
+        return oracle.check(0, U // k_u)
 
-    splittings = [(s, f - s) for s in s_candidates if in_unstable(f - s)]
+    splittings = [S for S in stable_parts if in_unstable(F - S)]
     if not splittings:
         raise NotDecomposableError(
             f"{format_rational(f)} has no stable + unstable splitting")
-    qualifying = [(s, u) for (s, u) in splittings
-                  if len(factorizations(tm, s, cap=cap)) == 1]
-    if qualifying:
-        s, u = qualifying[0]
-        return Decomposition(s, u, unique=(len(qualifying) == 1),
-                             stable_uniquely_factorable=True)
-    s, u = splittings[0]
-    return Decomposition(s, u, unique=False, stable_uniquely_factorable=False)
+    counts = FactorizationCounts(tm, cap)
+    qualifying = [S for S in splittings if counts.count(tm.unscale(S))[0] == 1]
+    unique = len(qualifying) == 1
+    S = (qualifying or splittings)[0]
+    s = tm.unscale(S)
+    return Decomposition(s, f - s, unique=unique,
+                         stable_uniquely_factorable=bool(qualifying))
 
 
 @dataclass(frozen=True)
@@ -200,7 +217,11 @@ def shifted_lengths(tm: TruncatedMonoid, x, atom, cap=None, budget=None) -> Shif
     Applicable when a is an atom with a prime denominator p dividing no
     other atom's denominator and not dividing d(x), and x belongs to
     the monoid; every factorization of x + a must then spend exactly
-    one more atom than the matching factorization of x.
+    one more atom than the matching factorization of x.  Both length
+    sets are read off one memo of factorization counts, so no
+    factorization is listed; the cap still counts the factorizations
+    of x and of x + a, each on its own.  The budget, when given, is
+    charged by both counts; without one, each count gets its own.
     """
     f = x if isinstance(x, Fraction) else Fraction(x)
     a = atom if isinstance(atom, Fraction) else Fraction(atom)
@@ -216,10 +237,14 @@ def shifted_lengths(tm: TruncatedMonoid, x, atom, cap=None, budget=None) -> Shif
     if f.denominator % p == 0:
         return ShiftReport(False, f"prime {p} divides the denominator of "
                                   f"{format_rational(f)}")
-    if not contains(tm, f, budget=budget):
+    if f < 0:
+        raise DomainError("membership is defined for nonnegative rationals")
+    counts = FactorizationCounts(tm, cap)
+    try:
+        base = counts.lengths(f, budget)
+    except NotAMemberError:
         return ShiftReport(False, f"{format_rational(f)} is not in the monoid")
-    base = length_set(tm, f, cap=cap)
-    shifted = length_set(tm, f + a, cap=cap)
+    shifted = counts.lengths(f + a, budget)
     ok = shifted == tuple(l + 1 for l in base)
     return ShiftReport(True, None, base, shifted, ok)
 

@@ -93,11 +93,11 @@ class Feasibility:
     """Decides whether an integer is a nonnegative combination of a
     fixed descending coin list, memoized on (level, residual).
 
-    check(i, t) answers for the suffix coins[i:], so a factorization
-    enumerator can prune dead residuals level by level.  The search is
-    depth-first over multiplicities, largest first, on an explicit
-    stack, so any number of coins fits; each memo miss costs one
-    budget step.
+    check(i, t) answers for the suffix coins[i:]: atom reduction asks
+    whether a generator is a combination of the coins below it, and
+    membership asks at level 0.  The search is depth-first over
+    multiplicities, largest first, on an explicit stack, so any number
+    of coins fits; each memo miss costs one budget step.
     """
 
     def __init__(self, coins_desc: tuple[int, ...], budget: WorkBudget):
@@ -144,29 +144,32 @@ class Feasibility:
         return False
 
 
-def _reduce_to_atoms(values: list[Fraction], budget: WorkBudget) -> list[Fraction]:
-    """The values that are not a sum of two nonzero elements of the
-    monoid they generate, ascending and deduplicated.
+def _reduce_to_atoms(coins: list[int], budget: WorkBudget) -> list[int]:
+    """The scaled generators that are not a sum of two nonzero elements
+    of the monoid they generate, ascending; coins are the distinct
+    scaled generators in descending order.
 
     A generator g splits exactly when it is a nonnegative combination
-    of the generators strictly below it, so with the scaled generators
-    in descending order this is one feasibility query per generator on
-    the coins after it, all sharing one memo.
+    of the generators strictly below it, so this is one feasibility
+    query per generator on the coins after it, all sharing one memo.
     """
-    gens = sorted(set(values), reverse=True)
-    D = math.lcm(*(v.denominator for v in gens))
-    coins = tuple(int(v * D) for v in gens)
-    oracle = Feasibility(coins, budget)
+    oracle = Feasibility(tuple(coins), budget)
     least_sum = 2 * coins[-1]  # nothing below the sum of two generators splits
-    atoms = [g for k, g in enumerate(gens)
-             if coins[k] < least_sum or not oracle.check(k + 1, coins[k])]
+    atoms = [s for k, s in enumerate(coins)
+             if s < least_sum or not oracle.check(k + 1, s)]
     atoms.reverse()
     return atoms
 
 
 def from_generators(generators, origin=None, budget=None) -> TruncatedMonoid:
     """Monoid generated by the given positive rationals, reduced so the
-    stored generating set is exactly its atom set."""
+    stored generating set is exactly its atom set.
+
+    Every generator is scaled by the lcm D of all their denominators
+    before anything is compared.  A generator that is not an atom is a
+    sum of atoms, so its denominator divides the lcm of theirs, and D
+    is the atoms' own lcm.
+    """
     budget = _as_budget(budget)
     gens = []
     for g in generators:
@@ -176,11 +179,11 @@ def from_generators(generators, origin=None, budget=None) -> TruncatedMonoid:
         gens.append(f)
     if not gens:
         raise DomainError("a monoid truncation needs at least one generator")
-    atoms = _reduce_to_atoms(gens, budget)
-    D = math.lcm(*(a.denominator for a in atoms))
-    scaled = tuple(int(a * D) for a in atoms)
-    return TruncatedMonoid(atoms=tuple(atoms), denom_lcm=D, scaled_gens=scaled,
-                           origin=origin)
+    D = math.lcm(*(g.denominator for g in gens))
+    by_scaled = {g.numerator * (D // g.denominator): g for g in gens}
+    scaled = _reduce_to_atoms(sorted(by_scaled, reverse=True), budget)
+    return TruncatedMonoid(atoms=tuple(by_scaled[s] for s in scaled), denom_lcm=D,
+                           scaled_gens=tuple(scaled), origin=origin)
 
 
 def _instantiate(spec, depth: int) -> list[tuple[Fraction, int]]:
@@ -194,14 +197,16 @@ def _instantiate(spec, depth: int) -> list[tuple[Fraction, int]]:
     return out
 
 
-def truncate(spec, depth: int, budget=None) -> TruncatedMonoid:
-    """Instantiate each symbolic family at its first depth indices,
-    union with the explicit generators, and reduce to atoms."""
+def _truncate(spec, depth: int, budget) -> tuple[list[tuple[Fraction, int]],
+                                                 TruncatedMonoid]:
+    """truncate, also returning the (value, family index) pairs the
+    truncation was built from."""
     if any(f.kind == "symbolic" for f in spec.families):
         if not isinstance(depth, int) or depth < 1:
             raise DomainError(f"depth must be a positive integer, got {depth!r}")
-    values = [v for (v, _fi) in _instantiate(spec, depth)]
-    tm = from_generators(values, origin=(spec, depth), budget=budget)
+    pairs = _instantiate(spec, depth)
+    tm = from_generators([v for (v, _fi) in pairs], origin=(spec, depth),
+                         budget=budget)
     meta = spec.metadata
     if meta.atom_inf is not None and tm.min_atom < meta.atom_inf:
         raise SpecValidationError(
@@ -212,7 +217,13 @@ def truncate(spec, depth: int, budget=None) -> TruncatedMonoid:
         raise SpecValidationError(
             f"atom {format_rational(tm.max_atom)} exceeds the declared "
             f"bound atom_sup = {format_rational(meta.atom_sup)}")
-    return tm
+    return pairs, tm
+
+
+def truncate(spec, depth: int, budget=None) -> TruncatedMonoid:
+    """Instantiate each symbolic family at its first depth indices,
+    union with the explicit generators, and reduce to atoms."""
+    return _truncate(spec, depth, budget)[1]
 
 
 def contains(tm: TruncatedMonoid, x, budget=None) -> bool:
@@ -311,6 +322,11 @@ def is_primary(tm: TruncatedMonoid) -> PrimaryReport:
     return PrimaryReport(True)
 
 
+def _stability_labels(spec, pairs, atoms) -> dict[Fraction, str]:
+    stable_values = {v for (v, fi) in pairs if spec.families[fi].is_stable()}
+    return {a: ("stable" if a in stable_values else "unstable") for a in atoms}
+
+
 def classify_stability(spec, depth: int, budget=None) -> dict[Fraction, str]:
     """Label each truncation atom 'stable' or 'unstable'.
 
@@ -320,7 +336,12 @@ def classify_stability(spec, depth: int, budget=None) -> dict[Fraction, str]:
     many family members then share its numerator).  Explicit and
     bounded families yield unstable atoms.
     """
-    pairs = _instantiate(spec, depth)
-    tm = truncate(spec, depth, budget=budget)
-    stable_values = {v for (v, fi) in pairs if spec.families[fi].is_stable()}
-    return {a: ("stable" if a in stable_values else "unstable") for a in tm.atoms}
+    pairs, tm = _truncate(spec, depth, budget)
+    return _stability_labels(spec, pairs, tm.atoms)
+
+
+def origin_stability(tm: TruncatedMonoid) -> dict[Fraction, str]:
+    """classify_stability of the description and depth tm was truncated
+    from, labelling tm's own atoms instead of truncating again."""
+    spec, depth = tm.origin
+    return _stability_labels(spec, _instantiate(spec, depth), tm.atoms)

@@ -8,11 +8,12 @@ from oracles import (brute_atoms, brute_elements, brute_factorizations,
                      brute_lengths)
 from puiseux.constructions import catalog
 from puiseux.errors import DomainError, NotAMemberError, ResourceCapError
-from puiseux.factorization import (Factorization, default_cap,
-                                   element_elasticity, factorizations,
+from puiseux.factorization import (Factorization, FactorizationCounts,
+                                   default_cap, element_elasticity,
+                                   factorizations,
                                    length_extremes_up_to, length_set,
                                    valuation_coefficient_check)
-from puiseux.monoid import from_generators, truncate
+from puiseux.monoid import WorkBudget, from_generators, truncate
 
 small_gens = st.lists(
     st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)),
@@ -93,6 +94,72 @@ class TestFactorizations:
             assert z.value == x
             assert all(m >= 1 for (_a, m) in z.terms)
             assert [a for (a, _m) in z.terms] == sorted(a for (a, _m) in z.terms)
+
+
+# denominators up to 12 give the multiplicity steps of the count kernel
+# more to do than small_gens does
+count_gens = st.lists(
+    st.builds(Fraction, st.integers(1, 12), st.integers(1, 12)),
+    min_size=1, max_size=4, unique=True)
+
+
+class TestFactorizationCounts:
+    @given(count_gens, st.integers(0, 60))
+    @settings(max_examples=120, deadline=None)
+    def test_against_brute_force(self, gens, idx):
+        atoms = brute_atoms(gens)
+        members = brute_elements(gens, Fraction(2))
+        x = members[idx % len(members)]
+        tm = from_generators(gens)
+        zs = brute_factorizations(atoms, x)
+        count, mask = FactorizationCounts(tm).count(x)
+        assert count == len(zs)
+        assert [l for l in range(mask.bit_length()) if mask >> l & 1] == \
+            brute_lengths(atoms, x)
+        assert list(length_set(tm, x)) == brute_lengths(atoms, x)
+        listed = factorizations(tm, x, cap=count)
+        assert sorted(_mult_tuple(z, atoms) for z in listed) == zs
+        if count > 1:
+            message = (f"more than {count - 1} factorizations of {x}; "
+                       "raise the cap to enumerate")
+            with pytest.raises(ResourceCapError, match=message):
+                FactorizationCounts(tm, count - 1).count(x)
+            with pytest.raises(ResourceCapError, match=message):
+                factorizations(tm, x, cap=count - 1)
+
+    @given(count_gens, st.builds(Fraction, st.integers(1, 24), st.integers(1, 12)))
+    @settings(max_examples=60, deadline=None)
+    def test_non_members(self, gens, x):
+        if x in brute_elements(gens, x):
+            return
+        tm = from_generators(gens)
+        with pytest.raises(NotAMemberError, match="is not in the monoid"):
+            FactorizationCounts(tm, 1).count(x)
+        with pytest.raises(NotAMemberError, match="is not in the monoid"):
+            length_set(tm, x, cap=1)
+
+    def test_memo_serves_several_targets(self):
+        tm = truncate(catalog("bfnotff", 8), 8)
+        shared = FactorizationCounts(tm)
+        for x in (Fraction(3), Fraction(10, 3), Fraction(2)):
+            assert shared.count(x) == FactorizationCounts(tm).count(x)
+
+    @pytest.mark.parametrize("name,depth,x,count,lengths,steps", [
+        ("bfnotff", 8, Fraction(3), 130, (5, 6, 7, 8, 9), 1555),
+        ("primarystable", 8, Fraction(3), 3, (5, 6), 33),
+        ("factorial", 6, Fraction(1), 6, (2, 3, 5, 7, 11, 13), 5),
+    ])
+    def test_budget_steps_pinned(self, name, depth, x, count, lengths, steps):
+        # one step per memo miss; a change to the step count shows here
+        tm = truncate(catalog(name, depth), depth)
+        budget = WorkBudget(steps)
+        n, mask = FactorizationCounts(tm).count(x, budget)
+        assert budget.left == 0
+        assert n == count and length_set(tm, x) == lengths
+        assert mask.bit_length() - 1 == lengths[-1]
+        with pytest.raises(ResourceCapError,
+                           match=f"work budget of {steps - 1} steps"):
+            FactorizationCounts(tm).count(x, WorkBudget(steps - 1))
 
 
 class TestLengthSet:
