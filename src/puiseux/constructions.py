@@ -18,7 +18,6 @@ without sweeping again.
 from __future__ import annotations
 
 import json
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -187,14 +186,13 @@ def _not_split_in_two(tm: TruncatedMonoid, xs) -> list[Fraction]:
     return out
 
 
-def bifurcus_build(num_stages: int, value_bound, budget=None) -> StagedMonoid:
+def bifurcus_build(num_stages: int, value_bound) -> StagedMonoid:
     """Run the staged construction for num_stages rounds.
 
     Per stage j: the reducible elements <= value_bound of the previous
     stage that have no length-2 factorization get, in increasing order,
     the smallest never-used prime p >= max(13, 2^j) and contribute the
-    atom pair a/2 -/+ 1/p.  A stage that finds nothing emits a warning
-    and adds nothing.
+    atom pair a/2 -/+ 1/p.  A stage that finds nothing adds nothing.
     """
     if not isinstance(num_stages, int) or isinstance(num_stages, bool) or num_stages < 1:
         raise DomainError("num_stages must be a positive integer")
@@ -202,7 +200,7 @@ def bifurcus_build(num_stages: int, value_bound, budget=None) -> StagedMonoid:
     if bound < MIN_VALUE_BOUND:
         raise DomainError("value_bound below 7/6 leaves the first stage empty")
     gens: list[Fraction] = list(BASE_GENERATORS)
-    stages = [from_generators(gens, budget=budget)]
+    stages = [from_generators(gens)]
     records: list[StageRecord] = []
     reducibles: list[tuple[Fraction, ...]] = []
     last = 0
@@ -212,13 +210,9 @@ def bifurcus_build(num_stages: int, value_bound, budget=None) -> StagedMonoid:
         # two or more atoms; one has a length-2 factorization iff its
         # shortest has length 2
         shortest = [(prev.unscale(v), lo) for v, (lo, _hi, _n)
-                    in sweep(prev, bound, budget).items() if lo >= 2]
+                    in sweep(prev, bound).items() if lo >= 2]
         reducibles.append(tuple(a for a, _lo in shortest))
         missing = [a for a, lo in shortest if lo >= 3]
-        if not missing:
-            warnings.warn(f"stage {j}: every reducible element up to "
-                          f"{format_rational(bound)} already splits into two atoms; "
-                          "nothing to add")
         added = []
         # floors never decrease, so every prime in [floor, last] is used
         floor = max(PRIME_FLOOR, 2 ** j)
@@ -230,7 +224,7 @@ def bifurcus_build(num_stages: int, value_bound, budget=None) -> StagedMonoid:
             added.append(pair)
             gens.extend((pair.low, pair.high))
         records.append(StageRecord(index=j, added=tuple(added)))
-        stages.append(from_generators(gens, budget=budget))
+        stages.append(from_generators(gens))
     return StagedMonoid(stages=tuple(stages), records=tuple(records),
                         value_bound=bound, reducibles=tuple(reducibles))
 
@@ -346,7 +340,7 @@ def _adjunction(entry, pos: int) -> AtomPair:
                     high=parse_rational(entry["high"]))
 
 
-def staged_from_dict(doc: dict, budget=None) -> StagedMonoid:
+def staged_from_dict(doc: dict) -> StagedMonoid:
     """Rebuild a staged monoid from its serialized adjunction records.
 
     The document's shape, the pair identities and the prime
@@ -394,9 +388,7 @@ def staged_from_dict(doc: dict, budget=None) -> StagedMonoid:
         raise SpecValidationError(
             f"value_bound {format_rational(bound)} is below "
             f"{format_rational(MIN_VALUE_BOUND)}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        sm = bifurcus_build(len(records), bound, budget=budget)
+    sm = bifurcus_build(len(records), bound)
     for rec, replayed in zip(records, sm.records):
         if rec != replayed:
             raise SpecValidationError(
@@ -404,7 +396,7 @@ def staged_from_dict(doc: dict, budget=None) -> StagedMonoid:
     return sm
 
 
-def staged_from_json(text: str, budget=None) -> StagedMonoid:
+def staged_from_json(text: str) -> StagedMonoid:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -416,8 +408,8 @@ def staged_from_json(text: str, budget=None) -> StagedMonoid:
     except ValueError as exc:  # past Python's int/str digit limit
         raise SpecValidationError("staged-monoid document holds an integer "
                                   "with too many digits") from exc
-    return staged_from_dict(doc, budget=budget)
+    return staged_from_dict(doc)
 
 
-def load_staged(path, budget=None) -> StagedMonoid:
-    return staged_from_json(read_text(path), budget=budget)
+def load_staged(path) -> StagedMonoid:
+    return staged_from_json(read_text(path))

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, NotAMemberError, ResourceCapError
-from .monoid import TruncatedMonoid, WorkBudget, _suffix_gcds, is_primary, sweep
+from .monoid import (TruncatedMonoid, WorkBudget, _as_budget, _suffix_gcds,
+                     is_primary, sweep)
 from .rationals import format_rational
 
 DEFAULT_CAP = 1_000_000
@@ -153,16 +154,14 @@ class FactorizationCounts:
         t = self.tm.scale(f)
         if t is None:
             raise NotAMemberError(f"{format_rational(f)} is not in the monoid")
-        if budget is None:
-            budget = WorkBudget(max(limit * 50, 10_000_000))
-        found = self._search(t, limit, budget)
+        found = self._search(t, limit, _as_budget(budget, limit * 50))
         if not found[0]:
             raise NotAMemberError(f"{format_rational(f)} is not in the monoid")
         return found
 
-    def lengths(self, x, budget: WorkBudget | None = None) -> tuple[int, ...]:
+    def lengths(self, x) -> tuple[int, ...]:
         """The sorted length set of x, read off its mask; (0,) for x = 0."""
-        mask = self.count(x, budget)[1]
+        mask = self.count(x)[1]
         return tuple(i for i, bit in enumerate(reversed(bin(mask))) if bit == "1")
 
     def _search(self, t: int, limit: int, budget: WorkBudget) -> tuple[int, int]:

@@ -16,13 +16,15 @@ unstable parts with a uniquely factorable stable part.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .errors import (DomainError, InsufficientMetadataError, NotAMemberError,
                      NotDecomposableError)
 from .monoid import (Feasibility, TruncatedMonoid, _as_budget, contains,
-                     from_generators, is_primary, origin_stability, sweep)
+                     is_primary, origin_stability, sweep)
 from .factorization import FactorizationCounts
 from .primes import is_prime
 from .rationals import INFINITY, format_rational
@@ -107,13 +109,13 @@ def is_accepted(spec) -> bool | None:
     return meta.inf_attained and meta.sup_attained
 
 
-def elasticity_set(tm: TruncatedMonoid, bound, budget=None) -> list[Fraction]:
+def elasticity_set(tm: TruncatedMonoid, bound) -> list[Fraction]:
     """Sorted distinct elasticities of the nonzero elements up to bound."""
-    pairs = {(lo, hi) for lo, hi, _n in sweep(tm, bound, budget).values() if lo}
+    pairs = {(lo, hi) for lo, hi, _n in sweep(tm, bound).values() if lo}
     return sorted({Fraction(hi, lo) for lo, hi in pairs})
 
 
-def elasticity_witnesses(tm: TruncatedMonoid, bound, budget=None) -> list[Fraction]:
+def elasticity_witnesses(tm: TruncatedMonoid, bound) -> list[Fraction]:
     """All nonzero x <= bound with elasticity equal to the monoid's.
 
     Machine-checks on the way out that every witness is an integer
@@ -121,7 +123,7 @@ def elasticity_witnesses(tm: TruncatedMonoid, bound, budget=None) -> list[Fracti
     """
     rho = tm.max_atom / tm.min_atom
     num, den = rho.numerator, rho.denominator
-    out = [tm.unscale(v) for v, (lo, hi, _n) in sweep(tm, bound, budget).items()
+    out = [tm.unscale(v) for v, (lo, hi, _n) in sweep(tm, bound).items()
            if lo and hi * den == lo * num]
     for x in out:
         assert (x / tm.min_atom).denominator == 1, \
@@ -139,21 +141,18 @@ class Decomposition:
     stable_uniquely_factorable: bool = True
 
 
-def decompose_stable_unstable(tm: TruncatedMonoid, x, labels=None, cap=None,
-                              budget=None) -> Decomposition:
+def decompose_stable_unstable(tm: TruncatedMonoid, x, labels=None,
+                              cap=None) -> Decomposition:
     """Split x = s + u with s from the stable atoms, u from the unstable
     ones, preferring splittings whose stable part has exactly one
     factorization; flags non-uniqueness when several qualify.
 
-    The stable parts are the keys of one sweep of the stable atoms up
-    to x, as integers on x's scale, and one feasibility oracle on the
-    unstable atoms tests every rest u.  Uniqueness is a factorization
+    Everything is on tm's scale: the stable parts are the keys of one
+    sweep of the stable atoms up to x (only 0 when there are none), and
+    one feasibility oracle on the unstable atoms tests every rest u.  Uniqueness is a factorization
     count, read from one memo of counts shared by all splittings, so no
     factorization is listed; the cap still counts the factorizations
-    of each stable part and stops the run with the same error.  The
-    budget, when given, is charged by the membership tests and the
-    sweep; without one, each of them gets its own default budget.  Each
-    count gets its own budget of max(cap*50, 10**7) steps either way.
+    of each stable part and stops the run with the same error.
     """
     report = is_primary(tm)
     if not report.is_primary:
@@ -163,31 +162,25 @@ def decompose_stable_unstable(tm: TruncatedMonoid, x, labels=None, cap=None,
             raise DomainError("no stability labels and no originating description")
         labels = origin_stability(tm)
     f = x if isinstance(x, Fraction) else Fraction(x)
-    if not contains(tm, f, budget=budget):
+    if not contains(tm, f):
         raise NotAMemberError(f"{format_rational(f)} is not in the monoid")
     F = tm.scale(f)
-    stable_atoms = [a for a in tm.atoms if labels.get(a) == "stable"]
-    unstable_atoms = [a for a in tm.atoms if labels.get(a) != "stable"]
-    if stable_atoms:
-        sm = from_generators(stable_atoms)
-        k = tm.denom_lcm // sm.denom_lcm
-        stable_parts = [v * k for v in sweep(sm, f, budget)]
-    else:
-        stable_parts = [0]
-    if unstable_atoms:
-        um = from_generators(unstable_atoms)
-        k_u = tm.denom_lcm // um.denom_lcm
-        oracle = Feasibility(tuple(sorted(um.scaled_gens, reverse=True)), budget)
+    stable = [labels.get(a) == "stable" for a in tm.atoms]
+    sm = TruncatedMonoid(atoms=tuple(compress(tm.atoms, stable)),
+                         denom_lcm=tm.denom_lcm,
+                         scaled_gens=tuple(compress(tm.scaled_gens, stable)))
+    unstable = sorted((s for s, st in zip(tm.scaled_gens, stable) if not st),
+                      reverse=True)
+    oracle, g = Feasibility(tuple(unstable)), math.gcd(*unstable)
 
     def in_unstable(U: int) -> bool:
         if U == 0:
             return True
-        if not unstable_atoms or U % k_u:
+        if not unstable or U % g:
             return False
-        oracle.budget = _as_budget(budget)  # fresh per test, as contains gives
-        return oracle.check(0, U // k_u)
+        return oracle.check(0, U, _as_budget())  # fresh per test, as contains gives
 
-    splittings = [S for S in stable_parts if in_unstable(F - S)]
+    splittings = [S for S in sweep(sm, f) if in_unstable(F - S)]
     if not splittings:
         raise NotDecomposableError(
             f"{format_rational(f)} has no stable + unstable splitting")
@@ -211,7 +204,7 @@ class ShiftReport:
     ok: bool | None = None
 
 
-def shifted_lengths(tm: TruncatedMonoid, x, atom, cap=None, budget=None) -> ShiftReport:
+def shifted_lengths(tm: TruncatedMonoid, x, atom, cap=None) -> ShiftReport:
     """Check that adding atom a = q/p shifts every length of x by one.
 
     Applicable when a is an atom with a prime denominator p dividing no
@@ -220,8 +213,7 @@ def shifted_lengths(tm: TruncatedMonoid, x, atom, cap=None, budget=None) -> Shif
     one more atom than the matching factorization of x.  Both length
     sets are read off one memo of factorization counts, so no
     factorization is listed; the cap still counts the factorizations
-    of x and of x + a, each on its own.  The budget, when given, is
-    charged by both counts; without one, each count gets its own.
+    of x and of x + a, each on its own.
     """
     f = x if isinstance(x, Fraction) else Fraction(x)
     a = atom if isinstance(atom, Fraction) else Fraction(atom)
@@ -241,10 +233,10 @@ def shifted_lengths(tm: TruncatedMonoid, x, atom, cap=None, budget=None) -> Shif
         raise DomainError("membership is defined for nonnegative rationals")
     counts = FactorizationCounts(tm, cap)
     try:
-        base = counts.lengths(f, budget)
+        base = counts.lengths(f)
     except NotAMemberError:
         return ShiftReport(False, f"{format_rational(f)} is not in the monoid")
-    shifted = counts.lengths(f + a, budget)
+    shifted = counts.lengths(f + a)
     ok = shifted == tuple(l + 1 for l in base)
     return ShiftReport(True, None, base, shifted, ok)
 

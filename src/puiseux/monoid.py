@@ -48,9 +48,11 @@ class WorkBudget:
                 f"enumeration exceeded its work budget of {self.limit} steps")
 
 
-def _as_budget(budget) -> WorkBudget:
+def _as_budget(budget: WorkBudget | None = None, steps: int = 0) -> WorkBudget:
+    """budget itself, else a fresh one of max(steps, 10**7) steps; every
+    default budget is made here, by the kernel that spends it."""
     if budget is None:
-        return WorkBudget(_DEFAULT_BUDGET)
+        return WorkBudget(max(steps, _DEFAULT_BUDGET))
     return budget
 
 
@@ -97,14 +99,14 @@ class Feasibility:
     whether a generator is a combination of the coins below it, and
     membership asks at level 0.  The search is depth-first over
     multiplicities, largest first, on an explicit stack, so any number
-    of coins fits; each memo miss costs one budget step.
+    of coins fits; each memo miss costs one step of the budget the
+    query is given.
     """
 
-    def __init__(self, coins_desc: tuple[int, ...], budget: WorkBudget):
+    def __init__(self, coins_desc: tuple[int, ...]):
         self.coins = coins_desc
         self.gcds = _suffix_gcds(coins_desc)
         self.memo: dict = {}
-        self.budget = budget
 
     def _settled(self, i: int, t: int):
         """The answer for (i, t) when no search is needed, else None."""
@@ -117,12 +119,12 @@ class Feasibility:
             return t % coins[i] == 0
         return self.memo.get((i, t))
 
-    def check(self, i: int, t: int) -> bool:
+    def check(self, i: int, t: int, budget: WorkBudget) -> bool:
         ok = self._settled(i, t)
         if ok is not None:
             return ok
         coins, memo, settled = self.coins, self.memo, self._settled
-        self.budget.spend()
+        budget.spend()
         stack = [[i, t, t // coins[i]]]  # level, residual, next multiplicity
         while stack:
             frame = stack[-1]
@@ -135,7 +137,7 @@ class Feasibility:
             r = res - c * coins[level]
             ok = settled(level + 1, r)
             if ok is None:
-                self.budget.spend()
+                budget.spend()
                 stack.append([level + 1, r, r // coins[level + 1]])
             elif ok:
                 for level, res, _c in stack:
@@ -144,24 +146,25 @@ class Feasibility:
         return False
 
 
-def _reduce_to_atoms(coins: list[int], budget: WorkBudget) -> list[int]:
+def _reduce_to_atoms(coins: list[int]) -> list[int]:
     """The scaled generators that are not a sum of two nonzero elements
     of the monoid they generate, ascending; coins are the distinct
     scaled generators in descending order.
 
     A generator g splits exactly when it is a nonnegative combination
     of the generators strictly below it, so this is one feasibility
-    query per generator on the coins after it, all sharing one memo.
+    query per generator on the coins after it, all sharing one memo and
+    one default budget.
     """
-    oracle = Feasibility(tuple(coins), budget)
+    oracle, budget = Feasibility(tuple(coins)), _as_budget()
     least_sum = 2 * coins[-1]  # nothing below the sum of two generators splits
     atoms = [s for k, s in enumerate(coins)
-             if s < least_sum or not oracle.check(k + 1, s)]
+             if s < least_sum or not oracle.check(k + 1, s, budget)]
     atoms.reverse()
     return atoms
 
 
-def from_generators(generators, origin=None, budget=None) -> TruncatedMonoid:
+def from_generators(generators, origin=None) -> TruncatedMonoid:
     """Monoid generated by the given positive rationals, reduced so the
     stored generating set is exactly its atom set.
 
@@ -170,7 +173,6 @@ def from_generators(generators, origin=None, budget=None) -> TruncatedMonoid:
     sum of atoms, so its denominator divides the lcm of theirs, and D
     is the atoms' own lcm.
     """
-    budget = _as_budget(budget)
     gens = []
     for g in generators:
         f = g if isinstance(g, Fraction) else Fraction(g)
@@ -181,7 +183,7 @@ def from_generators(generators, origin=None, budget=None) -> TruncatedMonoid:
         raise DomainError("a monoid truncation needs at least one generator")
     D = math.lcm(*(g.denominator for g in gens))
     by_scaled = {g.numerator * (D // g.denominator): g for g in gens}
-    scaled = _reduce_to_atoms(sorted(by_scaled, reverse=True), budget)
+    scaled = _reduce_to_atoms(sorted(by_scaled, reverse=True))
     return TruncatedMonoid(atoms=tuple(by_scaled[s] for s in scaled), denom_lcm=D,
                            scaled_gens=tuple(scaled), origin=origin)
 
@@ -197,16 +199,15 @@ def _instantiate(spec, depth: int) -> list[tuple[Fraction, int]]:
     return out
 
 
-def _truncate(spec, depth: int, budget) -> tuple[list[tuple[Fraction, int]],
-                                                 TruncatedMonoid]:
+def _truncate(spec, depth: int) -> tuple[list[tuple[Fraction, int]],
+                                         TruncatedMonoid]:
     """truncate, also returning the (value, family index) pairs the
     truncation was built from."""
     if any(f.kind == "symbolic" for f in spec.families):
         if not isinstance(depth, int) or depth < 1:
             raise DomainError(f"depth must be a positive integer, got {depth!r}")
     pairs = _instantiate(spec, depth)
-    tm = from_generators([v for (v, _fi) in pairs], origin=(spec, depth),
-                         budget=budget)
+    tm = from_generators([v for (v, _fi) in pairs], origin=(spec, depth))
     meta = spec.metadata
     if meta.atom_inf is not None and tm.min_atom < meta.atom_inf:
         raise SpecValidationError(
@@ -220,10 +221,10 @@ def _truncate(spec, depth: int, budget) -> tuple[list[tuple[Fraction, int]],
     return pairs, tm
 
 
-def truncate(spec, depth: int, budget=None) -> TruncatedMonoid:
+def truncate(spec, depth: int) -> TruncatedMonoid:
     """Instantiate each symbolic family at its first depth indices,
     union with the explicit generators, and reduce to atoms."""
-    return _truncate(spec, depth, budget)[1]
+    return _truncate(spec, depth)[1]
 
 
 def contains(tm: TruncatedMonoid, x, budget=None) -> bool:
@@ -237,7 +238,7 @@ def contains(tm: TruncatedMonoid, x, budget=None) -> bool:
     if t is None:
         return False
     coins = tuple(sorted(tm.scaled_gens, reverse=True))
-    return Feasibility(coins, _as_budget(budget)).check(0, t)
+    return Feasibility(coins).check(0, t, _as_budget(budget))
 
 
 def sweep(tm: TruncatedMonoid, bound, budget=None) -> dict[int, tuple[int, int, int]]:
@@ -327,7 +328,7 @@ def _stability_labels(spec, pairs, atoms) -> dict[Fraction, str]:
     return {a: ("stable" if a in stable_values else "unstable") for a in atoms}
 
 
-def classify_stability(spec, depth: int, budget=None) -> dict[Fraction, str]:
+def classify_stability(spec, depth: int) -> dict[Fraction, str]:
     """Label each truncation atom 'stable' or 'unstable'.
 
     Stability is decided from the symbolic description, never from the
@@ -336,7 +337,7 @@ def classify_stability(spec, depth: int, budget=None) -> dict[Fraction, str]:
     many family members then share its numerator).  Explicit and
     bounded families yield unstable atoms.
     """
-    pairs, tm = _truncate(spec, depth, budget)
+    pairs, tm = _truncate(spec, depth)
     return _stability_labels(spec, pairs, tm.atoms)
 
 

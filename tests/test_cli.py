@@ -3,6 +3,8 @@ import contextlib
 import io
 import itertools
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -274,6 +276,22 @@ class TestBifurcusCommands:
             "  4/3 -> prime 17, atoms 31/51 + 37/51",
             "  3/2 -> prime 19, atoms 53/76 + 61/76",
         ]
+
+    def test_empty_stages_are_quiet(self):
+        # a stage with nothing to add says so on stdout alone
+        src = Path(cli.__file__).resolve().parents[1]
+        run = subprocess.run(
+            [sys.executable, "-m", "puiseux.cli", "bifurcus", "--stages", "3",
+             "--bound", "7/6"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert run.returncode == 0
+        assert run.stdout.splitlines() == [
+            "stage 1: 1 additions",
+            "  7/6 -> prime 13, atoms 79/156 + 103/156",
+            "stage 2: 0 additions",
+            "stage 3: 0 additions",
+        ]
+        assert run.stderr == ""
 
     def test_build_then_verify(self, capsys, tmp_path):
         staged = tmp_path / "staged.json"

@@ -113,14 +113,12 @@ class TestBifurcusBuild:
         b = bifurcus_build(2, Fraction(3, 2))
         assert staged_to_json(a) == staged_to_json(b)
 
-    def test_empty_stage_warns(self):
-        with pytest.warns(UserWarning, match="nothing to add"):
-            sm = bifurcus_build(2, Fraction(7, 6))
+    def test_empty_stage_adds_nothing(self):
+        sm = bifurcus_build(2, Fraction(7, 6))
         assert len(sm.records[0].added) == 1
         assert sm.records[1].added == ()
 
     # six stages at 3/2 reduce 1,992 generators and take ~40 s
-    @pytest.mark.filterwarnings("ignore:stage")
     @pytest.mark.parametrize("bound, most_stages", [(Fraction(6, 5), 6),
                                                     (Fraction(3, 2), 5)])
     def test_primes_are_least_unused_above_the_stage_floor(self, bound,
@@ -138,7 +136,6 @@ class TestBifurcusBuild:
                                               if q >= floor and q not in used)
                     used.add(pair.prime)
 
-    @pytest.mark.filterwarnings("ignore:stage")
     @pytest.mark.parametrize("num_stages, bound", [
         (3, Fraction(7, 5)), (2, Fraction(9, 5)), (2, Fraction(7, 4)),
         (4, Fraction(3, 2))])

@@ -22,7 +22,7 @@ from puiseux.monoid import contains, from_generators, truncate
 from puiseux.rationals import INFINITY
 from puiseux.specfile import parse_spec
 
-from oracles import brute_density_search
+from oracles import brute_density_search, brute_factorizations
 
 small_gens = st.lists(
     st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)),
@@ -191,6 +191,39 @@ class TestDecompose:
                                       labels={Fraction(1, 2): "unstable",
                                               Fraction(2, 3): "unstable"})
         assert (d.stable_part, d.unstable_part) == (0, Fraction(1, 2))
+
+
+@st.composite
+def labelled_primary_elements(draw):
+    """1-4 atoms n/p over distinct primes p <= 7 with p not dividing n,
+    a random stable/unstable label per atom, and an element that is a
+    sum of at most p copies of each atom n/p."""
+    primes = draw(st.lists(st.sampled_from((2, 3, 5, 7)), min_size=1,
+                           max_size=4, unique=True))
+    atoms = [Fraction(draw(st.integers(1, p + 1).filter(lambda n, p=p: n % p)), p)
+             for p in primes]
+    labels = {a: draw(st.sampled_from(("stable", "unstable"))) for a in atoms}
+    x = sum((draw(st.integers(0, a.denominator)) * a for a in atoms), Fraction(0))
+    return atoms, labels, x
+
+
+class TestDecomposeAgainstBruteForce:
+    @given(labelled_primary_elements())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_factorizations(self, case):
+        atoms, labels, x = case
+        tm = from_generators(atoms)
+        d = decompose_stable_unstable(tm, x, labels=labels)
+        # the stable part of each factorization of x, atoms ascending
+        parts = sorted({sum((m * a for m, a in zip(z, tm.atoms)
+                             if labels[a] == "stable"), Fraction(0))
+                        for z in brute_factorizations(tm.atoms, x)})
+        qualifying = [s for s in parts
+                      if len(brute_factorizations(tm.atoms, s)) == 1]
+        assert d.stable_part == (qualifying or parts)[0]
+        assert d.unstable_part == x - d.stable_part
+        assert d.unique == (len(qualifying) == 1)
+        assert d.stable_uniquely_factorable == bool(qualifying)
 
 
 class TestShiftedLengths:

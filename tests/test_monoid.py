@@ -130,6 +130,19 @@ class TestSweep:
                            match=f"exceeded its work budget of {leaves - 1} steps"):
             sweep(tm, bound, WorkBudget(leaves - 1))
 
+    # criterion 1's first, seventh and 23rd accepted draws, each swept up to
+    # the product of its extreme atoms' numerators under its 600,000 steps
+    @pytest.mark.parametrize("gens, left", [
+        (["5/4", "17/24", "1/6", "27/17"], 477077),
+        (["9/19", "5/3", "6/7", "25/28"], 265377),
+        (["4", "5", "7/6", "23/8", "11/30"], 300192),
+    ])
+    def test_criterion_one_steps_pinned(self, gens, left):
+        tm = from_generators([Fraction(g) for g in gens])
+        budget = WorkBudget(600_000)
+        sweep(tm, tm.min_atom.numerator * tm.max_atom.numerator, budget)
+        assert budget.left == left
+
 
 class TestTruncate:
     def test_catalog_atom_values(self):
