@@ -2,10 +2,14 @@
 monoid.
 
 A factorization of x is a multiset of atoms summing to x exactly.
-FactorizationCounts walks the atoms in descending order choosing
+FactorizationCounts walks the atoms grouped by denominator (the
+denominators ascending, each group by descending value) choosing
 multiplicities, on an explicit stack so that any number of atoms fits,
 and memoizes on (level, residual) the number of factorizations and a
-bitmask of their lengths; one budget step is one memo miss.
+bitmask of their lengths; one budget step is one memo miss.  Only the
+residue class of multiplicities that the gcd of the later atoms allows
+is visited (ResidueSteps), and the grouping lets that gcd prune as
+soon as a denominator's atoms are all placed.
 length_set and element_elasticity read the mask, and the shift law and
 the stable/unstable decomposition in invariants read counts and masks,
 so none of them lists a factorization.  factorizations counts first,
@@ -26,6 +30,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import DomainError, NotAMemberError, ResourceCapError
 from .monoid import (TruncatedMonoid, WorkBudget, _as_budget, _suffix_gcds,
@@ -81,50 +86,26 @@ _DEAD = (0, 0)   # no factorization
 _EMPTY = (1, 1)  # the empty factorization, of length 0
 
 
-class FactorizationCounts:
-    """Number of factorizations and bitmask of their lengths for each
-    (level, residual) state of one truncation, memoized across targets.
+class ResidueSteps:
+    """Residue-class multiplicity stepping over a fixed coin list.
 
-    State (i, t) stands for the combinations of the scaled integer t
-    over the descending coins[i:]; its value is (count, mask), where bit
-    L of mask is set iff some combination has L atoms.  A state sums its
-    children (i + 1, t - c*coins[i]) over the multiplicities c, each
-    child's mask shifted by c: the length recurrence
-    L(x) = union over atoms a of (L(x - a) + 1) of Barron, O'Neill and
-    Pelayo (Math. Comp. 2017), run one atom at a time.
-
-    The search is depth-first, largest multiplicity first, on an
-    explicit stack.  A child can only be reached when the gcd g' of the
-    coins after level i divides t - c*coins[i], which fixes c modulo
-    step = g'/g (g the gcd from level i on), so only every step-th
-    multiplicity is visited.  Zero residuals, residuals below the least
-    coin and the last coin are settled without a search; one budget
-    step is one memo miss, a state searched for the first time.
+    Level i holds coins[i], and gcds[i] is the gcd of coins[i:].  A rest
+    t - c*coins[i] can be reached by the coins after level i only when
+    their gcd gcds[i + 1] divides it, which fixes c modulo
+    steps[i] = gcds[i + 1]/gcds[i]; first gives the largest such c, the
+    others follow every steps[i].  FactorizationCounts walks its atoms
+    this way, and decompose walks the stable atoms followed by the gcd
+    of the unstable ones.
     """
 
-    def __init__(self, tm: TruncatedMonoid, cap: int | None = None):
-        self.tm = tm
-        self.cap = cap
-        self.pairs = tuple(sorted(zip(tm.scaled_gens, tm.atoms), reverse=True))
-        self.coins = coins = tuple(s for (s, _a) in self.pairs)
+    def __init__(self, coins: tuple[int, ...]):
+        self.coins = coins
         self.gcds = gcds = _suffix_gcds(coins)
         # per level below the last: the multiplicity step and the inverse
         # of coins[i]/g modulo it
         self.steps = tuple(gcds[i + 1] // gcds[i] for i in range(len(coins) - 1))
         self.invs = tuple(pow(coins[i] // gcds[i], -1, k) if k > 1 else 0
                           for i, k in enumerate(self.steps))
-        self.memo: dict = {}
-
-    def value(self, i: int, t: int):
-        """(count, mask) of (i, t) when settled or memoized, else None."""
-        coins = self.coins
-        if t == 0:
-            return _EMPTY
-        if i == len(coins) or t < coins[-1] or t % self.gcds[i]:
-            return _DEAD
-        if i == len(coins) - 1:
-            return (1, 1 << t // coins[i])
-        return self.memo.get((i, t))
 
     def first(self, i: int, t: int) -> int:
         """The largest multiplicity of coins[i] in t whose rest the coins
@@ -135,6 +116,54 @@ class FactorizationCounts:
         if k == 1:
             return q
         return q - (q - t // self.gcds[i] % k * self.invs[i]) % k
+
+
+class FactorizationCounts(ResidueSteps):
+    """Number of factorizations and bitmask of their lengths for each
+    (level, residual) state of one truncation, memoized across targets.
+
+    The levels hold the atoms grouped by denominator, the denominators
+    ascending and each group by descending value.  State (i, t) stands
+    for the combinations of the scaled integer t over coins[i:]; its
+    value is (count, mask), where bit L of mask is set iff some
+    combination has L atoms.  A state sums its children
+    (i + 1, t - c*coins[i]) over the multiplicities c, each child's mask
+    shifted by c: the length recurrence
+    L(x) = union over atoms a of (L(x - a) + 1) of Barron, O'Neill and
+    Pelayo (Math. Comp. 2017), run one atom at a time.
+
+    The search is depth-first, largest multiplicity first, on an
+    explicit stack, and visits only the residue class of multiplicities
+    that ResidueSteps allows.  Atoms sharing a denominator sit next to
+    each other, so the gcd gains that denominator's prime as soon as
+    its group is past and the step fixes the group's last multiplicity
+    modulo it: in a primary monoid that is the p-adic rule that fixes
+    each multiplicity of an integer modulo the atom's prime.  Zero
+    residuals, residuals below the least coin from their level on and
+    the last coin are settled without a search; one budget step is one
+    memo miss, a state searched for the first time.
+    """
+
+    def __init__(self, tm: TruncatedMonoid, cap: int | None = None):
+        self.tm = tm
+        self.cap = cap
+        self.pairs = tuple(sorted(zip(tm.scaled_gens, tm.atoms),
+                                  key=lambda p: (p[1].denominator, -p[0])))
+        super().__init__(tuple(s for (s, _a) in self.pairs))
+        # the least coin from each level on
+        self.mins = tuple(accumulate(reversed(self.coins), min))[::-1]
+        self.memo: dict = {}
+
+    def value(self, i: int, t: int):
+        """(count, mask) of (i, t) when settled or memoized, else None."""
+        coins = self.coins
+        if t == 0:
+            return _EMPTY
+        if i == len(coins) or t < self.mins[i] or t % self.gcds[i]:
+            return _DEAD
+        if i == len(coins) - 1:
+            return (1, 1 << t // coins[i])
+        return self.memo.get((i, t))
 
     def count(self, x, budget: WorkBudget | None = None) -> tuple[int, int]:
         """(number of factorizations, length mask) of x.
@@ -174,8 +203,8 @@ class FactorizationCounts:
                 self._over(t, limit)
             return root
         coins, steps, memo, first = self.coins, self.steps, self.memo, self.first
+        mins = self.mins
         last = len(coins) - 1
-        least = coins[last]
         budget.spend()
         found = 0
         stack = [[0, t, first(0, t), 0, 0]]  # level, residual, next mult, count, mask
@@ -195,10 +224,10 @@ class FactorizationCounts:
             r = res - c * coins[i]
             if r == 0:
                 child = _EMPTY
-            elif r < least:
+            elif r < mins[i + 1]:
                 continue
             elif i + 1 == last:  # the gcd there is the last coin itself
-                child = (1, 1 << r // least)
+                child = (1, 1 << r // coins[last])
             else:
                 child = memo.get((i + 1, r))
                 if child is None:
@@ -237,7 +266,7 @@ def factorizations(tm: TruncatedMonoid, x, cap: int | None = None,
     if not last:
         return (Factorization(terms=((pairs[0][1], t // pairs[0][0]),)),)
     found: list[Factorization] = []
-    path: list[tuple[Fraction, int]] = []  # (atom, multiplicity), atoms descending
+    path: list[tuple[int, Fraction, int]] = []  # (coin, atom, multiplicity)
     frames = [[0, t, first(0, t), 0]]  # level, residual, next mult, len(path)
     while frames:
         frame = frames[-1]
@@ -252,14 +281,17 @@ def factorizations(tm: TruncatedMonoid, x, cap: int | None = None,
             continue
         del path[base:]
         if c:
-            path.append((atom, c))
+            path.append((s, atom, c))
         if r and i + 1 < last:
             frames.append([i + 1, r, first(i + 1, r), len(path)])
             continue
-        terms = path[::-1]
+        terms = path[:]
         if r:  # the last coin takes the rest
-            terms.insert(0, (pairs[last][1], r // pairs[last][0]))
-        found.append(Factorization(terms=tuple(terms)))
+            terms.append((*pairs[last], r // pairs[last][0]))
+        # the levels are not in atom order; the distinct integer coins
+        # sort the terms as their atoms do, without comparing fractions
+        terms.sort()
+        found.append(Factorization(terms=tuple((a, m) for _s, a, m in terms)))
     return tuple(sorted(found, key=Factorization.render))
 
 

@@ -23,9 +23,9 @@ from itertools import compress
 
 from .errors import (DomainError, InsufficientMetadataError, NotAMemberError,
                      NotDecomposableError)
-from .monoid import (Feasibility, TruncatedMonoid, _as_budget, contains,
-                     is_primary, origin_stability, sweep)
-from .factorization import FactorizationCounts
+from .monoid import (Feasibility, TruncatedMonoid, WorkBudget, _as_budget,
+                     contains, is_primary, origin_stability, sweep)
+from .factorization import FactorizationCounts, ResidueSteps
 from .primes import is_prime
 from .rationals import INFINITY, format_rational
 
@@ -141,18 +141,52 @@ class Decomposition:
     stable_uniquely_factorable: bool = True
 
 
+def _stable_parts(coins: tuple[int, ...], g: int, F: int,
+                  budget: WorkBudget) -> list[int]:
+    """The distinct S <= F that are sums of the stable coins with g
+    dividing F - S, ascending; g is the gcd of the unstable coins, 0
+    when there are none, and F must be a sum of the stable and the
+    unstable coins.
+
+    With g = 0 the only part is F.  Otherwise the coins, descending, and
+    then g form the levels of a ResidueSteps walk, one level at a time:
+    the rests F - (multiplicities of the first i coins) that the later
+    coins and g can still reach modulo their gcd.  So in a primary
+    monoid each stable multiplicity is fixed modulo its atom's prime,
+    and the rests past the last coin are the multiples of g that leave
+    the parts.  Each distinct rest costs one step of the budget.
+    """
+    if not g:
+        return [F]
+    levels = ResidueSteps(tuple(sorted(coins, reverse=True)) + (g,))
+    rests = {F}
+    budget.spend()
+    for i, s in enumerate(levels.coins[:-1]):
+        step, fresh = levels.steps[i], set()
+        for t in rests:
+            for c in range(levels.first(i, t), -1, -step):
+                r = t - c * s
+                if r not in fresh:
+                    budget.spend()
+                    fresh.add(r)
+        rests = fresh
+    return sorted(F - t for t in rests)
+
+
 def decompose_stable_unstable(tm: TruncatedMonoid, x, labels=None,
                               cap=None) -> Decomposition:
     """Split x = s + u with s from the stable atoms, u from the unstable
     ones, preferring splittings whose stable part has exactly one
     factorization; flags non-uniqueness when several qualify.
 
-    Everything is on tm's scale: the stable parts are the keys of one
-    sweep of the stable atoms up to x (only 0 when there are none), and
-    one feasibility oracle on the unstable atoms tests every rest u.  Uniqueness is a factorization
-    count, read from one memo of counts shared by all splittings, so no
-    factorization is listed; the cap still counts the factorizations
-    of each stable part and stops the run with the same error.
+    Everything is on tm's scale.  The candidate stable parts are those
+    of _stable_parts: the sums of stable atoms whose rest lies in the
+    residue class the unstable atoms can reach, and only x itself when
+    every atom is stable.  One feasibility oracle on the unstable atoms
+    tests every rest u.  Uniqueness is a factorization count, read from
+    one memo of counts shared by all splittings, so no factorization is
+    listed; the cap still counts the factorizations of each stable part
+    and stops the run with the same error.
     """
     report = is_primary(tm)
     if not report.is_primary:
@@ -166,21 +200,17 @@ def decompose_stable_unstable(tm: TruncatedMonoid, x, labels=None,
         raise NotAMemberError(f"{format_rational(f)} is not in the monoid")
     F = tm.scale(f)
     stable = [labels.get(a) == "stable" for a in tm.atoms]
-    sm = TruncatedMonoid(atoms=tuple(compress(tm.atoms, stable)),
-                         denom_lcm=tm.denom_lcm,
-                         scaled_gens=tuple(compress(tm.scaled_gens, stable)))
     unstable = sorted((s for s, st in zip(tm.scaled_gens, stable) if not st),
                       reverse=True)
     oracle, g = Feasibility(tuple(unstable)), math.gcd(*unstable)
 
     def in_unstable(U: int) -> bool:
-        if U == 0:
-            return True
-        if not unstable or U % g:
-            return False
-        return oracle.check(0, U, _as_budget())  # fresh per test, as contains gives
+        # g divides every rest the parts leave; a fresh budget per test,
+        # as contains gives
+        return U == 0 or oracle.check(0, U, _as_budget())
 
-    splittings = [S for S in sweep(sm, f) if in_unstable(F - S)]
+    parts = _stable_parts(tuple(compress(tm.scaled_gens, stable)), g, F, _as_budget())
+    splittings = [S for S in parts if in_unstable(F - S)]
     if not splittings:
         raise NotDecomposableError(
             f"{format_rational(f)} has no stable + unstable splitting")

@@ -103,29 +103,57 @@ count_gens = st.lists(
     min_size=1, max_size=4, unique=True)
 
 
+@st.composite
+def shared_denominator_gens(draw):
+    """One or two pairs k/p and (p - k)/p over odd primes p <= 11, the
+    shape of bfnotff, and up to two more generators."""
+    gens = set()
+    for p in draw(st.lists(st.sampled_from((3, 5, 7, 11)), min_size=1,
+                           max_size=2, unique=True)):
+        k = draw(st.integers(1, p - 1))
+        gens |= {Fraction(k, p), Fraction(p - k, p)}
+    gens |= set(draw(st.lists(st.builds(Fraction, st.integers(1, 12),
+                                        st.integers(1, 12)), max_size=2)))
+    return sorted(gens)
+
+
+def _check_counts_against_brute_force(gens, idx):
+    """Count, mask, length set and listed factorizations of one member
+    below 2 against the oracle; the cap message one below the count."""
+    atoms = brute_atoms(gens)
+    members = brute_elements(gens, Fraction(2))
+    x = members[idx % len(members)]
+    tm = from_generators(gens)
+    zs = brute_factorizations(atoms, x)
+    count, mask = FactorizationCounts(tm).count(x)
+    assert count == len(zs)
+    assert [l for l in range(mask.bit_length()) if mask >> l & 1] == \
+        brute_lengths(atoms, x)
+    assert list(length_set(tm, x)) == brute_lengths(atoms, x)
+    listed = factorizations(tm, x, cap=count)
+    assert sorted(_mult_tuple(z, atoms) for z in listed) == zs
+    # the levels are not in atom order, so this checks the terms' sort
+    for z in listed:
+        assert [a for (a, _m) in z.terms] == sorted(a for (a, _m) in z.terms)
+    if count > 1:
+        message = (f"more than {count - 1} factorizations of {x}; "
+                   "raise the cap to enumerate")
+        with pytest.raises(ResourceCapError, match=message):
+            FactorizationCounts(tm, count - 1).count(x)
+        with pytest.raises(ResourceCapError, match=message):
+            factorizations(tm, x, cap=count - 1)
+
+
 class TestFactorizationCounts:
     @given(count_gens, st.integers(0, 60))
     @settings(max_examples=120, deadline=None)
     def test_against_brute_force(self, gens, idx):
-        atoms = brute_atoms(gens)
-        members = brute_elements(gens, Fraction(2))
-        x = members[idx % len(members)]
-        tm = from_generators(gens)
-        zs = brute_factorizations(atoms, x)
-        count, mask = FactorizationCounts(tm).count(x)
-        assert count == len(zs)
-        assert [l for l in range(mask.bit_length()) if mask >> l & 1] == \
-            brute_lengths(atoms, x)
-        assert list(length_set(tm, x)) == brute_lengths(atoms, x)
-        listed = factorizations(tm, x, cap=count)
-        assert sorted(_mult_tuple(z, atoms) for z in listed) == zs
-        if count > 1:
-            message = (f"more than {count - 1} factorizations of {x}; "
-                       "raise the cap to enumerate")
-            with pytest.raises(ResourceCapError, match=message):
-                FactorizationCounts(tm, count - 1).count(x)
-            with pytest.raises(ResourceCapError, match=message):
-                factorizations(tm, x, cap=count - 1)
+        _check_counts_against_brute_force(gens, idx)
+
+    @given(shared_denominator_gens(), st.integers(0, 60))
+    @settings(max_examples=60, deadline=None)
+    def test_shared_denominators_against_brute_force(self, gens, idx):
+        _check_counts_against_brute_force(gens, idx)
 
     @given(count_gens, st.builds(Fraction, st.integers(1, 24), st.integers(1, 12)))
     @settings(max_examples=60, deadline=None)
@@ -145,8 +173,9 @@ class TestFactorizationCounts:
             assert shared.count(x) == FactorizationCounts(tm).count(x)
 
     @pytest.mark.parametrize("name,depth,x,count,lengths,steps", [
-        ("bfnotff", 8, Fraction(3), 130, (5, 6, 7, 8, 9), 1555),
-        ("primarystable", 8, Fraction(3), 3, (5, 6), 33),
+        ("bfnotff", 8, Fraction(3), 130, (5, 6, 7, 8, 9), 82),
+        ("bfnotff", 8, Fraction(10, 3), 130, (6, 7, 8, 9, 10), 82),
+        ("primarystable", 8, Fraction(3), 3, (5, 6), 20),
         ("factorial", 6, Fraction(1), 6, (2, 3, 5, 7, 11, 13), 5),
     ])
     def test_budget_steps_pinned(self, name, depth, x, count, lengths, steps):

@@ -8,17 +8,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from puiseux import cli, monoid
 from puiseux.constructions import catalog
 from puiseux.errors import (DomainError, InsufficientMetadataError,
-                            NotAMemberError)
+                            NotAMemberError, ResourceCapError)
 from puiseux.factorization import factorizations, length_set
 from puiseux.invariants import (bf_ff_status, decompose_stable_unstable,
                                 density_witness, elasticity_set,
                                 elasticity_witnesses, is_accepted,
                                 monoid_elasticity, predicted_elasticities,
                                 shifted_lengths, StatusReport,
-                                _spec_is_primary)
-from puiseux.monoid import contains, from_generators, truncate
+                                _spec_is_primary, _stable_parts)
+from puiseux.monoid import (TruncatedMonoid, WorkBudget, contains,
+                            from_generators, sweep, truncate)
 from puiseux.rationals import INFINITY
 from puiseux.specfile import parse_spec
 
@@ -224,6 +226,59 @@ class TestDecomposeAgainstBruteForce:
         assert d.unstable_part == x - d.stable_part
         assert d.unique == (len(qualifying) == 1)
         assert d.stable_uniquely_factorable == bool(qualifying)
+
+
+def _split_coins(tm, labels):
+    """The stable scaled coins and the gcd of the unstable ones (0 when
+    there are none)."""
+    stable = [labels[a] == "stable" for a in tm.atoms]
+    coins = tuple(s for s, st in zip(tm.scaled_gens, stable) if st)
+    return coins, math.gcd(*(s for s, st in zip(tm.scaled_gens, stable) if not st))
+
+
+class TestStableParts:
+    @given(labelled_primary_elements())
+    @example(([Fraction(1, 2), Fraction(2, 3)],
+              {Fraction(1, 2): "unstable", Fraction(2, 3): "unstable"},
+              Fraction(5, 3)))
+    @example(([Fraction(1, 2), Fraction(2, 3)],
+              {Fraction(1, 2): "stable", Fraction(2, 3): "stable"},
+              Fraction(5, 3)))
+    @settings(max_examples=80, deadline=None)
+    def test_match_the_filtered_sweep(self, case):
+        atoms, labels, x = case
+        tm = from_generators(atoms)
+        coins, g = _split_coins(tm, labels)
+        F = tm.scale(x)
+        sm = TruncatedMonoid(
+            atoms=tuple(a for a in tm.atoms if labels[a] == "stable"),
+            denom_lcm=tm.denom_lcm, scaled_gens=coins)
+        expected = [S for S in sweep(sm, x)
+                    if ((F - S) % g == 0 if g else S == F)]
+        assert _stable_parts(coins, g, F, WorkBudget(10**6)) == expected
+
+    def test_tiny_budget_raises(self):
+        tm = truncate(catalog("primarystable", 8), 8)
+        coins, g = _split_coins(tm, monoid.origin_stability(tm))
+        assert coins and g
+        with pytest.raises(ResourceCapError, match="work budget of 2 steps"):
+            _stable_parts(coins, g, tm.scale(Fraction(3)), WorkBudget(2))
+
+    def test_all_stable_answers_without_a_sweep(self, monkeypatch, tmp_path, capsys):
+        # this sweep of every stable part up to 2 ran 14 s and 1.6 GiB,
+        # then stopped on the work budget
+        def no_sweep(*_args, **_kwargs):
+            raise AssertionError("decompose swept the stable submonoid")
+        monkeypatch.setattr("puiseux.invariants.sweep", no_sweep)
+        monkeypatch.setattr("puiseux.monoid.sweep", no_sweep)
+        spec = str(tmp_path / "factorial.json")
+        assert cli.main(["catalog", "--name", "factorial", "--depth", "14",
+                         "--out", spec]) == 0
+        capsys.readouterr()
+        code = cli.main(["decompose", "--spec", spec, "--depth", "14",
+                         "--element", "2"])
+        assert code == 0
+        assert capsys.readouterr().out == "stable: 2\nunstable: 0\nunique: false\n"
 
 
 class TestShiftedLengths:

@@ -1,8 +1,7 @@
-"""Replay the density, atoms and classify ops of the query benchmark,
-and every per-element op that reads factorization counts (factorize,
-lengths, elasticity, shift-check, decompose), against the exit codes
-and stdout digests pinned in perfbench/expected.json.  Reads
-perfbench/ and writes nothing there."""
+"""Replay every op the query benchmark can draw (all 915 of
+workloads.query_universe(), every stratum) against the exit codes and
+stdout digests pinned in perfbench/expected.json.  Reads perfbench/
+and writes nothing there."""
 
 import contextlib
 import hashlib
@@ -21,9 +20,7 @@ import workloads  # noqa: E402
 
 PINS = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))["ops"]
 UNIVERSE = workloads.query_universe()
-OPS = [op for kind in ("density", "atoms", "classify", "factorize", "lengths",
-                       "elasticity", "shift-check", "decompose")
-       for op in UNIVERSE[kind]]
+OPS = [op for ops in UNIVERSE.values() for op in ops]
 
 
 @pytest.mark.parametrize("op", OPS, ids=workloads.op_key)
