@@ -4,49 +4,38 @@
 Starting from the monoid generated by 1/2 and 1/3, each stage picks the
 reducible elements below the value bound that cannot yet be written as
 a sum of two atoms and adjoins, for each, a fresh pair of atoms summing
-to it.  The verification then re-checks the claimed properties of the
-final stage: the smallest nonzero element is still 1/3, no adjoined
-atom has become reducible, and every covered reducible now has a
-length-2 factorization.
+to it.  The build is written to JSON and then reloaded and verified:
+the smallest nonzero element is still 1/3, no adjoined atom has become
+reducible, and every covered reducible now has a length-2
+factorization.  Both steps run through the `puiseux` command line, so
+its output, errors and exit codes are those of `puiseux bifurcus` and
+`puiseux verify-bifurcus`.
 """
 
 import argparse
+import tempfile
+from pathlib import Path
 
-from puiseux.constructions import (bifurcus_build, bifurcus_verify,
-                                   staged_to_json)
-from puiseux.rationals import format_rational, parse_rational
+from puiseux import cli
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--stages", type=int, default=2,
+    ap.add_argument("--stages", default="2",
                     help="number of adjunction stages (default %(default)s)")
     ap.add_argument("--bound", default="3/2",
                     help="value bound for reducibles (default %(default)s)")
     ap.add_argument("--out", default=None,
-                    help="also write the staged build as JSON")
+                    help="keep the staged build as JSON at this path")
     args = ap.parse_args(argv)
-    bound = parse_rational(args.bound)
-
-    sm = bifurcus_build(args.stages, bound)
-    for rec in sm.records:
-        print(f"stage {rec.index}: {len(rec.added)} atom pairs")
-        for pair in rec.added:
-            print(f"  {format_rational(pair.reducible)} = "
-                  f"{format_rational(pair.low)} + "
-                  f"{format_rational(pair.high)}  (prime {pair.prime})")
-    print(f"final truncation: {len(sm.final.atoms)} atoms")
-
-    report = bifurcus_verify(sm, bound)
-    for line in report.summary_lines():
-        print(line)
-    print("verification:", "passed" if report.passed else "FAILED")
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(staged_to_json(sm))
-        print(f"wrote {args.out}")
-    return 0 if report.passed else 1
+    with tempfile.TemporaryDirectory() as tmp:
+        out = args.out or str(Path(tmp) / "staged.json")
+        code = cli.main(["bifurcus", "--stages", args.stages,
+                         "--bound", args.bound, "--out", out])
+        if code:
+            return code
+        return cli.main(["verify-bifurcus", "--staged", out,
+                         "--bound", args.bound])
 
 
 if __name__ == "__main__":

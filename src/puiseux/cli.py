@@ -539,6 +539,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory; try a smaller depth, bound or cap",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

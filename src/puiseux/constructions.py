@@ -21,6 +21,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 
 from .errors import DomainError, SpecValidationError
 from .monoid import TruncatedMonoid, from_generators, sweep
@@ -186,6 +187,43 @@ def _not_split_in_two(tm: TruncatedMonoid, xs) -> list[Fraction]:
     return out
 
 
+def _grow(base: TruncatedMonoid, bound: Fraction):
+    """Yield (record, reducibles of the stage before, stage) for stages
+    1, 2, ... of bifurcus_build from base, building each stage only
+    when it is asked for."""
+    gens = list(base.atoms)
+    prev = base
+    last = 0
+    for j in count(1):
+        # reducibles are the elements whose shortest factorization has
+        # two or more atoms; one has a length-2 factorization iff its
+        # shortest has length 2
+        shortest = [(prev.unscale(v), lo) for v, (lo, _hi, _n)
+                    in sweep(prev, bound).items() if lo >= 2]
+        missing = [a for a, lo in shortest if lo >= 3]
+        added = []
+        # floors never decrease, so every prime in [floor, last] is used
+        floor = max(PRIME_FLOOR, 2 ** j)
+        for a in missing:
+            p = last = next_prime_at_least(max(floor, last + 1))
+            half = a / 2
+            pair = AtomPair(reducible=a, prime=p,
+                            low=half - Fraction(1, p), high=half + Fraction(1, p))
+            added.append(pair)
+            gens.extend((pair.low, pair.high))
+        prev = from_generators(gens)
+        yield (StageRecord(index=j, added=tuple(added)),
+               tuple(a for a, _lo in shortest), prev)
+
+
+def _staged(base: TruncatedMonoid, bound: Fraction, grown) -> StagedMonoid:
+    """The staged monoid of base and the (record, reducibles, stage)
+    triples _grow yielded for it."""
+    records, reducibles, stages = zip(*grown)
+    return StagedMonoid(stages=(base, *stages), records=records,
+                        value_bound=bound, reducibles=reducibles)
+
+
 def bifurcus_build(num_stages: int, value_bound) -> StagedMonoid:
     """Run the staged construction for num_stages rounds.
 
@@ -199,34 +237,8 @@ def bifurcus_build(num_stages: int, value_bound) -> StagedMonoid:
     bound = value_bound if isinstance(value_bound, Fraction) else Fraction(value_bound)
     if bound < MIN_VALUE_BOUND:
         raise DomainError("value_bound below 7/6 leaves the first stage empty")
-    gens: list[Fraction] = list(BASE_GENERATORS)
-    stages = [from_generators(gens)]
-    records: list[StageRecord] = []
-    reducibles: list[tuple[Fraction, ...]] = []
-    last = 0
-    for j in range(1, num_stages + 1):
-        prev = stages[-1]
-        # reducibles are the elements whose shortest factorization has
-        # two or more atoms; one has a length-2 factorization iff its
-        # shortest has length 2
-        shortest = [(prev.unscale(v), lo) for v, (lo, _hi, _n)
-                    in sweep(prev, bound).items() if lo >= 2]
-        reducibles.append(tuple(a for a, _lo in shortest))
-        missing = [a for a, lo in shortest if lo >= 3]
-        added = []
-        # floors never decrease, so every prime in [floor, last] is used
-        floor = max(PRIME_FLOOR, 2 ** j)
-        for a in missing:
-            p = last = next_prime_at_least(max(floor, last + 1))
-            half = a / 2
-            pair = AtomPair(reducible=a, prime=p,
-                            low=half - Fraction(1, p), high=half + Fraction(1, p))
-            added.append(pair)
-            gens.extend((pair.low, pair.high))
-        records.append(StageRecord(index=j, added=tuple(added)))
-        stages.append(from_generators(gens))
-    return StagedMonoid(stages=tuple(stages), records=tuple(records),
-                        value_bound=bound, reducibles=tuple(reducibles))
+    base = from_generators(BASE_GENERATORS)
+    return _staged(base, bound, islice(_grow(base, bound), num_stages))
 
 
 @dataclass(frozen=True)
@@ -345,8 +357,9 @@ def staged_from_dict(doc: dict) -> StagedMonoid:
 
     The document's shape, the pair identities and the prime
     constraints are checked first.  The build is deterministic, so the
-    stage count and value bound then replay it, and every record must
-    equal the replayed one; the replayed stages are returned.
+    value bound then replays it one stage at a time, and every record
+    must equal the replayed one: the replay stops at the first record
+    that differs.  The replayed stages are returned.
     """
     if not isinstance(doc, dict) or doc.get("schema") != STAGED_SCHEMA:
         raise SpecValidationError(
@@ -388,12 +401,14 @@ def staged_from_dict(doc: dict) -> StagedMonoid:
         raise SpecValidationError(
             f"value_bound {format_rational(bound)} is below "
             f"{format_rational(MIN_VALUE_BOUND)}")
-    sm = bifurcus_build(len(records), bound)
-    for rec, replayed in zip(records, sm.records):
-        if rec != replayed:
+    base = from_generators(BASE_GENERATORS)
+    grown = []
+    for rec, step in zip(records, _grow(base, bound)):
+        if rec != step[0]:
             raise SpecValidationError(
                 f"stage {rec.index} differs from the replayed build")
-    return sm
+        grown.append(step)
+    return _staged(base, bound, grown)
 
 
 def staged_from_json(text: str) -> StagedMonoid:

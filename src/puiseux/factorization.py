@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate
 
@@ -74,12 +75,14 @@ class Factorization:
                 return m
         return 0
 
-    def term_strings(self) -> list[str]:
-        return [f"{m} x {format_rational(a)}" for (a, m) in self.terms]
+    @cached_property
+    def _text(self) -> str:
+        return " + ".join(f"{m} x {format_rational(a)}" for (a, m) in self.terms) or "0"
 
     def render(self) -> str:
-        """"m x a/b + ..." with atoms ascending; the empty sum is "0"."""
-        return " + ".join(self.term_strings()) or "0"
+        """"m x a/b + ..." with atoms ascending; the empty sum is "0".
+        Built once per factorization: the sort and the output share it."""
+        return self._text
 
 
 _DEAD = (0, 0)   # no factorization

@@ -24,7 +24,7 @@ from itertools import compress
 from .errors import (DomainError, InsufficientMetadataError, NotAMemberError,
                      NotDecomposableError)
 from .monoid import (Feasibility, TruncatedMonoid, WorkBudget, _as_budget,
-                     contains, is_primary, origin_stability, sweep)
+                     contains, is_primary, sweep)
 from .factorization import FactorizationCounts, ResidueSteps
 from .primes import is_prime
 from .rationals import INFINITY, format_rational
@@ -173,12 +173,12 @@ def _stable_parts(coins: tuple[int, ...], g: int, F: int,
     return sorted(F - t for t in rests)
 
 
-def decompose_stable_unstable(tm: TruncatedMonoid, x, labels=None,
-                              cap=None) -> Decomposition:
+def decompose_stable_unstable(tm: TruncatedMonoid, x, cap=None) -> Decomposition:
     """Split x = s + u with s from the stable atoms, u from the unstable
     ones, preferring splittings whose stable part has exactly one
     factorization; flags non-uniqueness when several qualify.
 
+    The stable atoms are those truncate marked in tm.stable.
     Everything is on tm's scale.  The candidate stable parts are those
     of _stable_parts: the sums of stable atoms whose rest lies in the
     residue class the unstable atoms can reach, and only x itself when
@@ -191,15 +191,13 @@ def decompose_stable_unstable(tm: TruncatedMonoid, x, labels=None,
     report = is_primary(tm)
     if not report.is_primary:
         raise DomainError(f"decomposition needs a primary monoid: {report.reason}")
-    if labels is None:
-        if tm.origin is None:
-            raise DomainError("no stability labels and no originating description")
-        labels = origin_stability(tm)
+    if tm.stable is None:
+        raise DomainError("no stability labels and no originating description")
     f = x if isinstance(x, Fraction) else Fraction(x)
     if not contains(tm, f):
         raise NotAMemberError(f"{format_rational(f)} is not in the monoid")
     F = tm.scale(f)
-    stable = [labels.get(a) == "stable" for a in tm.atoms]
+    stable = [a in tm.stable for a in tm.atoms]
     unstable = sorted((s for s, st in zip(tm.scaled_gens, stable) if not st),
                       reverse=True)
     oracle, g = Feasibility(tuple(unstable)), math.gcd(*unstable)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import DomainError, ResourceCapError, SpecValidationError
@@ -61,7 +61,7 @@ class TruncatedMonoid:
     atoms: tuple[Fraction, ...]      # ascending, pairwise distinct
     denom_lcm: int
     scaled_gens: tuple[int, ...]     # atom * denom_lcm, parallel to atoms
-    origin: tuple | None = None      # (MonoidSpec, depth) when truncated
+    stable: frozenset | None = None  # atoms of stable families; None unless truncated
 
     @property
     def min_atom(self) -> Fraction:
@@ -164,7 +164,7 @@ def _reduce_to_atoms(coins: list[int]) -> list[int]:
     return atoms
 
 
-def from_generators(generators, origin=None) -> TruncatedMonoid:
+def from_generators(generators) -> TruncatedMonoid:
     """Monoid generated by the given positive rationals, reduced so the
     stored generating set is exactly its atom set.
 
@@ -185,29 +185,31 @@ def from_generators(generators, origin=None) -> TruncatedMonoid:
     by_scaled = {g.numerator * (D // g.denominator): g for g in gens}
     scaled = _reduce_to_atoms(sorted(by_scaled, reverse=True))
     return TruncatedMonoid(atoms=tuple(by_scaled[s] for s in scaled), denom_lcm=D,
-                           scaled_gens=tuple(scaled), origin=origin)
+                           scaled_gens=tuple(scaled))
 
 
-def _instantiate(spec, depth: int) -> list[tuple[Fraction, int]]:
-    """(value, family index) pairs for all families at this depth."""
-    out = []
-    for fi, fam in enumerate(spec.families):
-        if fam.kind == "explicit":
-            out.extend((g, fi) for g in fam.generators)
-        else:
-            out.extend((v, fi) for (_n, _p, v) in fam.instantiate(depth))
-    return out
+def truncate(spec, depth: int) -> TruncatedMonoid:
+    """Instantiate each symbolic family at its first depth indices,
+    union with the explicit generators, and reduce to atoms, marking
+    in stable the atoms that a stable family generates.
 
-
-def _truncate(spec, depth: int) -> tuple[list[tuple[Fraction, int]],
-                                         TruncatedMonoid]:
-    """truncate, also returning the (value, family index) pairs the
-    truncation was built from."""
+    Stability is decided from the description, never from the finite
+    truncation: an atom is stable iff some family that generates it has
+    an unbounded index range and a constant numerator (infinitely many
+    family members then share its numerator).  Explicit and bounded
+    families yield unstable atoms.
+    """
     if any(f.kind == "symbolic" for f in spec.families):
         if not isinstance(depth, int) or depth < 1:
             raise DomainError(f"depth must be a positive integer, got {depth!r}")
-    pairs = _instantiate(spec, depth)
-    tm = from_generators([v for (v, _fi) in pairs], origin=(spec, depth))
+    gens, stable = [], []
+    for fam in spec.families:
+        values = (fam.generators if fam.kind == "explicit"
+                  else [v for (_n, _p, v) in fam.instantiate(depth)])
+        gens.extend(values)
+        if fam.is_stable():
+            stable.extend(values)
+    tm = from_generators(gens)
     meta = spec.metadata
     if meta.atom_inf is not None and tm.min_atom < meta.atom_inf:
         raise SpecValidationError(
@@ -218,13 +220,12 @@ def _truncate(spec, depth: int) -> tuple[list[tuple[Fraction, int]],
         raise SpecValidationError(
             f"atom {format_rational(tm.max_atom)} exceeds the declared "
             f"bound atom_sup = {format_rational(meta.atom_sup)}")
-    return pairs, tm
-
-
-def truncate(spec, depth: int) -> TruncatedMonoid:
-    """Instantiate each symbolic family at its first depth indices,
-    union with the explicit generators, and reduce to atoms."""
-    return _truncate(spec, depth)[1]
+    # matched on the integer scale, where hashing is cheap; every
+    # generator's denominator divides D
+    D = tm.denom_lcm
+    marked = {v.numerator * (D // v.denominator) for v in stable}
+    return replace(tm, stable=frozenset(
+        a for a, s in zip(tm.atoms, tm.scaled_gens) if s in marked))
 
 
 def contains(tm: TruncatedMonoid, x, budget=None) -> bool:
@@ -323,26 +324,8 @@ def is_primary(tm: TruncatedMonoid) -> PrimaryReport:
     return PrimaryReport(True)
 
 
-def _stability_labels(spec, pairs, atoms) -> dict[Fraction, str]:
-    stable_values = {v for (v, fi) in pairs if spec.families[fi].is_stable()}
-    return {a: ("stable" if a in stable_values else "unstable") for a in atoms}
-
-
 def classify_stability(spec, depth: int) -> dict[Fraction, str]:
-    """Label each truncation atom 'stable' or 'unstable'.
-
-    Stability is decided from the symbolic description, never from the
-    finite truncation: an atom is stable iff some originating family
-    has an unbounded index range and a constant numerator (infinitely
-    many family members then share its numerator).  Explicit and
-    bounded families yield unstable atoms.
-    """
-    pairs, tm = _truncate(spec, depth)
-    return _stability_labels(spec, pairs, tm.atoms)
-
-
-def origin_stability(tm: TruncatedMonoid) -> dict[Fraction, str]:
-    """classify_stability of the description and depth tm was truncated
-    from, labelling tm's own atoms instead of truncating again."""
-    spec, depth = tm.origin
-    return _stability_labels(spec, _instantiate(spec, depth), tm.atoms)
+    """Label each truncation atom 'stable' or 'unstable', as truncate
+    marks them."""
+    tm = truncate(spec, depth)
+    return {a: ("stable" if a in tm.stable else "unstable") for a in tm.atoms}

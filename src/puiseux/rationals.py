@@ -17,40 +17,11 @@ from .errors import DomainError
 
 
 class _Infinity:
-    """Positive-infinity marker; compares above every int and Fraction."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Positive-infinity marker; INFINITY is its one instance, told
+    apart by identity."""
 
     def __repr__(self):
         return "inf"
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("puiseux-infinity")
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
 
 
 INFINITY = _Infinity()

@@ -255,15 +255,6 @@ class GeneratorFamily:
         return (self.kind == "symbolic" and self.index_end is None
                 and self.numerator.is_constant())
 
-    def indices(self, depth: int) -> range:
-        """First depth indices of the family's range."""
-        if self.kind != "symbolic":
-            return range(0)
-        last = self.index_start + depth - 1
-        if self.index_end is not None:
-            last = min(last, self.index_end)
-        return range(self.index_start, last + 1)
-
     def instantiate(self, depth: int) -> list[tuple[int, int, Fraction]]:
         """(index, prime, value) triples for the first depth indices.
 
@@ -273,8 +264,11 @@ class GeneratorFamily:
         """
         if self.kind != "symbolic":
             raise SpecValidationError("instantiate() applies to symbolic families")
+        last = self.index_start + depth - 1
+        if self.index_end is not None:
+            last = min(last, self.index_end)
+        idx = range(self.index_start, last + 1)
         out = []
-        idx = self.indices(depth)
         if not idx:
             return out
         primes = prime_seq(self.prime_filter, idx.stop - 1)[idx.start - 1:]

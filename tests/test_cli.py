@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from puiseux import cli
+from puiseux import cli, factorization
 from puiseux.factorization import factorizations
 from puiseux.monoid import elements_up_to, truncate
 from puiseux.rationals import format_rational
@@ -78,6 +78,20 @@ class TestTextGoldens:
                             "--element", "2")
         assert code == 0
         assert out == "3 x 1/3 + 2 x 1/2\n4 x 1/2\n6 x 1/3\n"
+
+    def test_factorize_formats_each_term_once(self, capsys, tmp_path, monkeypatch):
+        # the sort by rendered text and the output share one rendering
+        spec = _catalog_file(tmp_path, "bfnotff", 8)
+        formatted = []
+        format_once = factorization.format_rational
+        monkeypatch.setattr(factorization, "format_rational",
+                            lambda v: formatted.append(v) or format_once(v))
+        code, out, _ = _run(capsys, "factorize", "--spec", spec, "--depth", "8",
+                            "--element", "3", "--cap", "500")
+        assert code == 0
+        terms = [t for line in out.splitlines() for t in line.split(" + ")]
+        assert len(out.splitlines()) == 130
+        assert len(formatted) == len(terms)
 
     def test_monoid_elasticity(self, capsys, tmp_path):
         spec = _catalog_file(tmp_path, "bfplot")
@@ -570,6 +584,15 @@ class TestFailureModes:
         for fmt in ("text", "json"):
             assert _run(capsys, "elasticity", "--spec", spec, "--format", fmt) == (
                 1, "", "error: result has too many digits to print\n")
+
+    def test_out_of_memory(self, capsys, tmp_path, monkeypatch):
+        def no_memory(*_args):
+            raise MemoryError
+        monkeypatch.setattr("puiseux.cli.truncate", no_memory)
+        spec = _write(tmp_path, EXPLICIT_HALF_THIRD)
+        code, out, err = _run(capsys, "atoms", "--spec", spec)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: out of memory") and "Traceback" not in err
 
     def test_non_member_element(self, capsys, tmp_path):
         spec = _write(tmp_path, EXPLICIT_HALF_THIRD)

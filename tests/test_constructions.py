@@ -249,6 +249,20 @@ class TestStagedSerialization:
         with pytest.raises(SpecValidationError, match="stage 2 differs"):
             staged_from_dict(doc)
 
+    def test_replay_stops_at_the_first_stage_that_differs(self, monkeypatch):
+        # seven empty stages at 3/2: replaying them all ran past 30 s,
+        # though stage 1 already adds three pairs
+        doc = {"schema": 1, "value_bound": "3/2", "base_generators": ["1/3", "1/2"],
+               "stages": [{"stage": j, "added": []} for j in range(1, 8)]}
+        built = []
+        from_generators = constructions.from_generators
+        monkeypatch.setattr(constructions, "from_generators",
+                            lambda gens: built.append(gens) or from_generators(gens))
+        with pytest.raises(SpecValidationError,
+                           match="^stage 1 differs from the replayed build$"):
+            staged_from_dict(doc)
+        assert len(built) <= 2
+
     def test_rejects_malformed_json(self):
         with pytest.raises(SpecValidationError, match="not valid JSON"):
             staged_from_json("{nope")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from puiseux import cli, monoid
+from puiseux import cli
 from puiseux.constructions import catalog
 from puiseux.errors import (DomainError, InsufficientMetadataError,
                             NotAMemberError, ResourceCapError)
@@ -189,36 +190,35 @@ class TestDecompose:
         tm = from_generators([Fraction(1, 2), Fraction(2, 3)])
         with pytest.raises(DomainError, match="label"):
             decompose_stable_unstable(tm, Fraction(1, 2))
-        d = decompose_stable_unstable(tm, Fraction(1, 2),
-                                      labels={Fraction(1, 2): "unstable",
-                                              Fraction(2, 3): "unstable"})
+        d = decompose_stable_unstable(
+            dataclasses.replace(tm, stable=frozenset()), Fraction(1, 2))
         assert (d.stable_part, d.unstable_part) == (0, Fraction(1, 2))
 
 
 @st.composite
 def labelled_primary_elements(draw):
     """1-4 atoms n/p over distinct primes p <= 7 with p not dividing n,
-    a random stable/unstable label per atom, and an element that is a
+    a random subset of them marked stable, and an element that is a
     sum of at most p copies of each atom n/p."""
     primes = draw(st.lists(st.sampled_from((2, 3, 5, 7)), min_size=1,
                            max_size=4, unique=True))
     atoms = [Fraction(draw(st.integers(1, p + 1).filter(lambda n, p=p: n % p)), p)
              for p in primes]
-    labels = {a: draw(st.sampled_from(("stable", "unstable"))) for a in atoms}
+    stable = frozenset(a for a in atoms if draw(st.booleans()))
     x = sum((draw(st.integers(0, a.denominator)) * a for a in atoms), Fraction(0))
-    return atoms, labels, x
+    return atoms, stable, x
 
 
 class TestDecomposeAgainstBruteForce:
     @given(labelled_primary_elements())
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_factorizations(self, case):
-        atoms, labels, x = case
-        tm = from_generators(atoms)
-        d = decompose_stable_unstable(tm, x, labels=labels)
+        atoms, stable, x = case
+        tm = dataclasses.replace(from_generators(atoms), stable=stable)
+        d = decompose_stable_unstable(tm, x)
         # the stable part of each factorization of x, atoms ascending
         parts = sorted({sum((m * a for m, a in zip(z, tm.atoms)
-                             if labels[a] == "stable"), Fraction(0))
+                             if a in stable), Fraction(0))
                         for z in brute_factorizations(tm.atoms, x)})
         qualifying = [s for s in parts
                       if len(brute_factorizations(tm.atoms, s)) == 1]
@@ -228,30 +228,27 @@ class TestDecomposeAgainstBruteForce:
         assert d.stable_uniquely_factorable == bool(qualifying)
 
 
-def _split_coins(tm, labels):
+def _split_coins(tm, stable_atoms):
     """The stable scaled coins and the gcd of the unstable ones (0 when
     there are none)."""
-    stable = [labels[a] == "stable" for a in tm.atoms]
+    stable = [a in stable_atoms for a in tm.atoms]
     coins = tuple(s for s, st in zip(tm.scaled_gens, stable) if st)
     return coins, math.gcd(*(s for s, st in zip(tm.scaled_gens, stable) if not st))
 
 
 class TestStableParts:
     @given(labelled_primary_elements())
+    @example(([Fraction(1, 2), Fraction(2, 3)], frozenset(), Fraction(5, 3)))
     @example(([Fraction(1, 2), Fraction(2, 3)],
-              {Fraction(1, 2): "unstable", Fraction(2, 3): "unstable"},
-              Fraction(5, 3)))
-    @example(([Fraction(1, 2), Fraction(2, 3)],
-              {Fraction(1, 2): "stable", Fraction(2, 3): "stable"},
-              Fraction(5, 3)))
+              frozenset({Fraction(1, 2), Fraction(2, 3)}), Fraction(5, 3)))
     @settings(max_examples=80, deadline=None)
     def test_match_the_filtered_sweep(self, case):
-        atoms, labels, x = case
+        atoms, stable, x = case
         tm = from_generators(atoms)
-        coins, g = _split_coins(tm, labels)
+        coins, g = _split_coins(tm, stable)
         F = tm.scale(x)
         sm = TruncatedMonoid(
-            atoms=tuple(a for a in tm.atoms if labels[a] == "stable"),
+            atoms=tuple(a for a in tm.atoms if a in stable),
             denom_lcm=tm.denom_lcm, scaled_gens=coins)
         expected = [S for S in sweep(sm, x)
                     if ((F - S) % g == 0 if g else S == F)]
@@ -259,7 +256,7 @@ class TestStableParts:
 
     def test_tiny_budget_raises(self):
         tm = truncate(catalog("primarystable", 8), 8)
-        coins, g = _split_coins(tm, monoid.origin_stability(tm))
+        coins, g = _split_coins(tm, tm.stable)
         assert coins and g
         with pytest.raises(ResourceCapError, match="work budget of 2 steps"):
             _stable_parts(coins, g, tm.scale(Fraction(3)), WorkBudget(2))

@@ -151,10 +151,26 @@ class TestTruncate:
                                  Fraction(4, 7), Fraction(5, 11)}
         assert list(tm.atoms) == sorted(tm.atoms)
 
-    def test_origin_recorded(self):
-        spec = catalog("primarydense", 5)
-        tm = truncate(spec, 5)
-        assert tm.origin == (spec, 5)
+    def test_stable_atoms_recorded(self):
+        tm = truncate(catalog("primarystable", 14), 14)
+        # the family 30/p_n, n >= 13, is the stable one
+        assert tm.stable == {a for a in tm.atoms if a.numerator == 30}
+        assert len(tm.stable) == 14 and Fraction(30, 41) in tm.stable
+        assert truncate(catalog("primarydense", 5), 5).stable == frozenset()
+        assert from_generators(tm.atoms).stable is None
+
+    def test_atom_of_a_stable_and_an_explicit_family_is_stable(self):
+        # 1/2 is both an explicit generator and the first prime
+        # reciprocal, so it is stable; the explicit 2/3 = 1/3 + 1/3 is
+        # no atom
+        spec = parse_spec("""
+        {"schema": 1,
+         "families": [{"kind": "explicit", "generators": ["1/2", "2/3"]},
+                      {"kind": "symbolic", "numerator": "1", "prime_filter": "all"}]}
+        """)
+        tm = truncate(spec, 3)
+        assert tm.atoms == (Fraction(1, 5), Fraction(1, 3), Fraction(1, 2))
+        assert tm.stable == set(tm.atoms)
 
     def test_depth_validation(self):
         spec = catalog("primarydense", 5)

@@ -62,16 +62,9 @@ class TestParseFormat:
 
 
 class TestInfinity:
-    def test_ordering(self):
-        assert INFINITY > Fraction(10 ** 100)
-        assert INFINITY > 10 ** 100
-        assert INFINITY >= INFINITY
-        assert not INFINITY < Fraction(1)
+    def test_equals_only_itself(self):
         assert not INFINITY == Fraction(1)
-
-    def test_absorbs_addition(self):
-        assert INFINITY + 5 is INFINITY
-        assert 5 + INFINITY is INFINITY
+        assert repr(INFINITY) == "inf"
 
     def test_hashable_singleton(self):
         assert {INFINITY, INFINITY} == {INFINITY}
