@@ -7,8 +7,8 @@ factorization.
 """
 
 from .errors import (DomainError, InsufficientMetadataError, NotAMemberError,
-                     NotDecomposableError, PuiseuxError, ResourceCapError,
-                     SpecError, SpecSyntaxError, SpecValidationError)
+                     PuiseuxError, ResourceCapError, SpecError, SpecSyntaxError,
+                     SpecValidationError)
 from .rationals import INFINITY, format_rational, parse_rational
 from .primes import PrimeFilter, is_prime, next_prime_at_least, prime_seq
 from .specfile import (GeneratorFamily, Metadata, MonoidSpec, NumeratorExpr,

@@ -17,10 +17,6 @@ class NotAMemberError(DomainError):
     """The given rational does not belong to the monoid."""
 
 
-class NotDecomposableError(DomainError):
-    """No stable + unstable splitting of the element exists."""
-
-
 class InsufficientMetadataError(DomainError):
     """A symbolic-mode computation needs declared metadata that is absent."""
 

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 
-from .errors import (DomainError, InsufficientMetadataError, NotAMemberError,
-                     NotDecomposableError)
+from .errors import DomainError, InsufficientMetadataError, NotAMemberError
 from .monoid import (Feasibility, TruncatedMonoid, WorkBudget, _as_budget,
-                     contains, is_primary, sweep)
+                     is_primary, sweep)
 from .factorization import FactorizationCounts, ResidueSteps
 from .primes import is_prime
 from .rationals import INFINITY, format_rational
@@ -145,16 +144,15 @@ def _stable_parts(coins: tuple[int, ...], g: int, F: int,
                   budget: WorkBudget) -> list[int]:
     """The distinct S <= F that are sums of the stable coins with g
     dividing F - S, ascending; g is the gcd of the unstable coins, 0
-    when there are none, and F must be a sum of the stable and the
-    unstable coins.
+    when there are none.
 
-    With g = 0 the only part is F.  Otherwise the coins, descending, and
-    then g form the levels of a ResidueSteps walk, one level at a time:
-    the rests F - (multiplicities of the first i coins) that the later
-    coins and g can still reach modulo their gcd.  So in a primary
-    monoid each stable multiplicity is fixed modulo its atom's prime,
-    and the rests past the last coin are the multiples of g that leave
-    the parts.  Each distinct rest costs one step of the budget.
+    With g = 0 the only part is F, unchecked.  Otherwise the coins,
+    descending, and then g form the levels of a ResidueSteps walk, one
+    level at a time: the rests F - (multiplicities of the first i coins)
+    that the later coins and g can still reach modulo their gcd.  So in
+    a primary monoid each stable multiplicity is fixed modulo its atom's
+    prime, and the rests past the last coin are the multiples of g that
+    leave the parts.  Each distinct rest costs one step of the budget.
     """
     if not g:
         return [F]
@@ -183,10 +181,14 @@ def decompose_stable_unstable(tm: TruncatedMonoid, x, cap=None) -> Decomposition
     of _stable_parts: the sums of stable atoms whose rest lies in the
     residue class the unstable atoms can reach, and only x itself when
     every atom is stable.  One feasibility oracle on the unstable atoms
-    tests every rest u.  Uniqueness is a factorization count, read from
-    one memo of counts shared by all splittings, so no factorization is
-    listed; the cap still counts the factorizations of each stable part
-    and stops the run with the same error.
+    tests every rest u.  x is a member exactly when some splitting
+    exists, since the stable atoms of any factorization of x sum to a
+    part whose rest the unstable ones reach; when every atom is stable,
+    the factorization count of x decides it.  Uniqueness is a
+    factorization count, read from one memo of counts shared by all
+    splittings, so no factorization is listed; the cap still counts the
+    factorizations of each stable part and stops the run with the same
+    error.
     """
     report = is_primary(tm)
     if not report.is_primary:
@@ -194,11 +196,12 @@ def decompose_stable_unstable(tm: TruncatedMonoid, x, cap=None) -> Decomposition
     if tm.stable is None:
         raise DomainError("no stability labels and no originating description")
     f = x if isinstance(x, Fraction) else Fraction(x)
-    if not contains(tm, f):
-        raise NotAMemberError(f"{format_rational(f)} is not in the monoid")
+    if f < 0:
+        raise DomainError("membership is defined for nonnegative rationals")
     F = tm.scale(f)
-    stable = [a in tm.stable for a in tm.atoms]
-    unstable = sorted((s for s, st in zip(tm.scaled_gens, stable) if not st),
+    if F is None:
+        raise NotAMemberError(f"{format_rational(f)} is not in the monoid")
+    unstable = sorted((s for s, st in zip(tm.scaled_gens, tm.stable) if not st),
                       reverse=True)
     oracle, g = Feasibility(tuple(unstable)), math.gcd(*unstable)
 
@@ -207,11 +210,10 @@ def decompose_stable_unstable(tm: TruncatedMonoid, x, cap=None) -> Decomposition
         # as contains gives
         return U == 0 or oracle.check(0, U, _as_budget())
 
-    parts = _stable_parts(tuple(compress(tm.scaled_gens, stable)), g, F, _as_budget())
+    parts = _stable_parts(tuple(compress(tm.scaled_gens, tm.stable)), g, F, _as_budget())
     splittings = [S for S in parts if in_unstable(F - S)]
     if not splittings:
-        raise NotDecomposableError(
-            f"{format_rational(f)} has no stable + unstable splitting")
+        raise NotAMemberError(f"{format_rational(f)} is not in the monoid")
     counts = FactorizationCounts(tm, cap)
     qualifying = [S for S in splittings if counts.count(tm.unscale(S))[0] == 1]
     unique = len(qualifying) == 1

@@ -61,7 +61,9 @@ class TruncatedMonoid:
     atoms: tuple[Fraction, ...]      # ascending, pairwise distinct
     denom_lcm: int
     scaled_gens: tuple[int, ...]     # atom * denom_lcm, parallel to atoms
-    stable: frozenset | None = None  # atoms of stable families; None unless truncated
+    # parallel to atoms: whether a stable family generates the atom;
+    # None unless truncated
+    stable: tuple[bool, ...] | None = None
 
     @property
     def min_atom(self) -> Fraction:
@@ -224,8 +226,7 @@ def truncate(spec, depth: int) -> TruncatedMonoid:
     # generator's denominator divides D
     D = tm.denom_lcm
     marked = {v.numerator * (D // v.denominator) for v in stable}
-    return replace(tm, stable=frozenset(
-        a for a, s in zip(tm.atoms, tm.scaled_gens) if s in marked))
+    return replace(tm, stable=tuple(s in marked for s in tm.scaled_gens))
 
 
 def contains(tm: TruncatedMonoid, x, budget=None) -> bool:
@@ -328,4 +329,4 @@ def classify_stability(spec, depth: int) -> dict[Fraction, str]:
     """Label each truncation atom 'stable' or 'unstable', as truncate
     marks them."""
     tm = truncate(spec, depth)
-    return {a: ("stable" if a in tm.stable else "unstable") for a in tm.atoms}
+    return {a: ("stable" if st else "unstable") for a, st in zip(tm.atoms, tm.stable)}

@@ -1,15 +1,16 @@
 """Primality testing and filtered prime sequences.
 
-Prime sequences are read from one per-process table, filled by a sieve
-of Eratosthenes whose range doubles whenever a request runs past its
-top; prime_seq is the only producer of a filter's admitted primes.
+Every prime this package uses comes from one ascending stream,
+_primes_from(n): the primes of a fixed table below _TABLE_TOP, sieved
+once on first use, then candidates past the top tested one at a time
+by is_prime.  prime_seq filters that stream and next_prime_at_least
+takes its first prime, so memory stays flat however large the floor.
 
-is_prime is a Miller-Rabin test for single integers (spec denominators,
-exclude lists, next_prime_at_least).  Below _DETERMINISTIC_LIMIT the
-fixed witness set is known to be exhaustive, so answers are
-deterministic and exact; above it (far beyond anything this package
-enumerates) extra random rounds run and the witness certificate is
-logged.
+is_prime is a Miller-Rabin test.  Below _DETERMINISTIC_LIMIT the fixed
+witness set is known to be exhaustive, so answers, and with them every
+prime the stream yields, are deterministic and exact; above it (far
+beyond anything this package enumerates) extra random rounds run and
+the witness certificate is logged.
 """
 
 from __future__ import annotations
@@ -17,15 +18,21 @@ from __future__ import annotations
 import logging
 import random
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from math import isqrt
+from functools import cache
+from itertools import islice
+from math import gcd, isqrt, prod
 
 from .errors import DomainError, SpecValidationError
 
 log = logging.getLogger(__name__)
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# first twelve prime witnesses decide primality exactly below this bound
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_WITNESS_PRODUCT = prod(_MR_WITNESSES)
+# the first thirteen primes as witnesses decide primality exactly below
+# this bound; the first twelve pass the composite
+# 318_665_857_834_031_151_167_461 (Sorenson and Webster, Math. Comp. 2017)
 _DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 _EXTRA_ROUNDS = 16
 
@@ -49,7 +56,7 @@ def is_prime(n: int) -> bool:
         return False
     if n in _MR_WITNESSES:
         return True
-    if any(n % p == 0 for p in _MR_WITNESSES):
+    if gcd(n, _WITNESS_PRODUCT) != 1:
         return False
     d, s = n - 1, 0
     while d % 2 == 0:
@@ -65,21 +72,37 @@ def is_prime(n: int) -> bool:
     return all(_mr_round(n, d, s, a) for a in witnesses)
 
 
-_PRIMES: list[int] = []  # every prime up to _sieved_to, increasing
-_sieved_to = 0
+_TABLE_TOP = 1 << 16  # 6,542 primes lie below it
 
 
-def _grow_table() -> None:
-    """Double the sieved range, re-sieving it from scratch."""
-    global _sieved_to
-    top = max(2 * _sieved_to, 1024)
-    flags = bytearray([1]) * (top + 1)
+@cache
+def _table() -> tuple[int, ...]:
+    """Every prime below _TABLE_TOP, increasing, by a sieve of Eratosthenes."""
+    flags = bytearray([1]) * _TABLE_TOP
     flags[:2] = b"\0\0"
-    for i in range(2, isqrt(top) + 1):
+    for i in range(2, isqrt(_TABLE_TOP - 1) + 1):
         if flags[i]:
-            flags[i * i::i] = bytes(len(range(i * i, top + 1, i)))
-    _PRIMES[:] = [i for i, f in enumerate(flags) if f]
-    _sieved_to = top
+            flags[i * i::i] = bytes(len(range(i * i, _TABLE_TOP, i)))
+    return tuple(i for i, f in enumerate(flags) if f)
+
+
+def _primes_from(n: int) -> Iterator[int]:
+    """Every prime >= n, increasing, without end."""
+    table = _table()
+    yield from islice(table, bisect_left(table, n), None)
+    candidate = max(n, _TABLE_TOP) | 1  # past the top only odd numbers
+    while True:
+        if is_prime(candidate):
+            yield candidate
+        candidate += 2
+
+
+def _filter_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past Python's int/str digit limit
+        raise SpecValidationError(f"integer of {len(digits)} digits is too "
+                                  "long in prime filter") from None
 
 
 @dataclass(frozen=True)
@@ -119,17 +142,17 @@ class PrimeFilter:
                 raise SpecValidationError(f"malformed exclude filter {text!r}")
             inner = body[1:-1].strip()
             items = [t.strip() for t in inner.split(",")] if inner else []
-            if not all(t.isdigit() for t in items):
+            if not all(t.isdecimal() for t in items):
                 raise SpecValidationError(f"malformed exclude filter {text!r}")
-            dropped = frozenset(int(t) for t in items)
+            dropped = frozenset(_filter_int(t) for t in items)
             if not all(is_prime(p) for p in dropped):
                 raise SpecValidationError(f"exclude filter lists a non-prime in {text!r}")
             return cls("exclude", exclude=dropped)
         if s.startswith("min:"):
             body = s[len("min:"):].strip()
-            if not body.isdigit():
+            if not body.isdecimal():
                 raise SpecValidationError(f"malformed min filter {text!r}")
-            return cls("min", min_bound=int(body))
+            return cls("min", min_bound=_filter_int(body))
         raise SpecValidationError(f"unknown prime filter {text!r}")
 
     def render(self) -> str:
@@ -162,18 +185,9 @@ def prime_seq(filt, count: int) -> list[int]:
     f = PrimeFilter.parse(filt)
     if count < 0:
         raise DomainError("count must be nonnegative")
-    while True:
-        # from the min bound on, a filter drops only its excluded primes or 2
-        start = bisect_left(_PRIMES, f.min_bound)
-        stop = start + count + len(f.exclude) + 1
-        if stop <= len(_PRIMES):
-            return [p for p in _PRIMES[start:stop] if f.admits(p)][:count]
-        _grow_table()
+    return list(islice(filter(f.admits, _primes_from(f.min_bound)), count))
 
 
 def next_prime_at_least(n: int) -> int:
     """Smallest prime >= n."""
-    candidate = max(2, n)
-    while not is_prime(candidate):
-        candidate += 1
-    return candidate
+    return next(_primes_from(n))

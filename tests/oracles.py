@@ -72,6 +72,17 @@ def sieve(limit):
     return [i for i, f in enumerate(flags) if f]
 
 
+def primes_at_least(n, count):
+    """The first count primes >= n, trying every integer from n up by
+    trial division."""
+    found = []
+    while len(found) < count:
+        if n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1)):
+            found.append(n)
+        n += 1
+    return found
+
+
 def first_primes(count, skip=()):
     """The first `count` primes, optionally skipping some, by sieve."""
     limit = 100

@@ -565,6 +565,20 @@ class TestFailureModes:
         assert (code, out) == (1, "")
         assert err.startswith("error:") and "too many digits" in err
 
+    @pytest.mark.skipif(not 0 < INT_DIGIT_LIMIT < 5000,
+                        reason="int() reads 5,000 digits without a limit")
+    @pytest.mark.parametrize("command", ["atoms", "status"])
+    @pytest.mark.parametrize("prime_filter", ["min:{}", "exclude:[3,{}]"],
+                             ids=["min", "exclude"])
+    def test_prime_filter_past_the_digit_limit(self, capsys, tmp_path,
+                                               prime_filter, command):
+        spec = _write(tmp_path, json.dumps(
+            {"schema": 1, "families": [{"kind": "symbolic", "numerator": "1",
+                                        "prime_filter": prime_filter.format("9" * 5000)}]}))
+        code, out, err = _run(capsys, command, "--spec", spec)
+        assert (code, out) == (1, "") and "Traceback" not in err
+        assert err == "error: integer of 5000 digits is too long in prime filter\n"
+
     @pytest.mark.parametrize("key, command", [("atom_inf", "atoms"),
                                               ("not_ff_witness", "status")])
     def test_metadata_literal_past_the_digit_limit(self, capsys, tmp_path,

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import first_primes, sieve
+from oracles import first_primes, primes_at_least, sieve
 from puiseux import primes
 from puiseux.errors import DomainError, SpecValidationError
 from puiseux.primes import PrimeFilter, is_prime, next_prime_at_least, prime_seq
@@ -21,6 +23,9 @@ class TestIsPrime:
     def test_large_known_prime(self):
         assert is_prime(2 ** 61 - 1)
         assert not is_prime((2 ** 61 - 1) * (2 ** 31 - 1))
+        # below the deterministic limit, and a strong pseudoprime to
+        # every prime witness up to 37
+        assert not is_prime(399_165_290_221 * 798_330_580_441)
 
     def test_beyond_deterministic_range(self):
         # 10^25 + 29 is above the deterministic witness limit
@@ -41,8 +46,9 @@ class TestPrimeFilter:
             assert PrimeFilter.parse(f.render()) == f
 
     def test_parse_rejects(self):
+        # "²" is a digit to str.isdigit but not to int()
         for bad in ("", "evens", "exclude:3", "exclude:[4]", "min:x",
-                    "exclude:[]x", "min:"):
+                    "exclude:[]x", "min:", "min:²", "exclude:[3,²]"):
             with pytest.raises(SpecValidationError):
                 PrimeFilter.parse(bad)
 
@@ -91,6 +97,8 @@ def _oracle_seq(text, count):
 
 class TestPrimeTable:
     @given(FILTER_TEXTS, st.integers(0, 500))
+    # the table holds 6,542 primes, so the last few come from the walk
+    @example("exclude:[3,5]", 6_545)
     @settings(max_examples=60, deadline=None)
     def test_against_oracle(self, text, count):
         expected = _oracle_seq(text, count)
@@ -99,11 +107,27 @@ class TestPrimeTable:
         if count:
             assert f.nth(count) == expected[-1]
 
-    def test_min_bound_past_table_top_grows_table(self):
-        top = primes._sieved_to
-        text = f"min:{top + 1}"
-        assert prime_seq(text, 50) == _oracle_seq(text, 50)
-        assert primes._sieved_to > top
+    @given(st.integers(0, 10 ** 7), st.integers(1, 6))
+    @example(65_500, 12)  # runs from the table into the walk
+    @example(primes._TABLE_TOP - 1, 3)
+    @example(primes._TABLE_TOP, 3)
+    @example(primes._TABLE_TOP + 1, 3)
+    @example(10 ** 7, 3)
+    @settings(max_examples=30, deadline=None)
+    def test_min_bound_against_trial_division(self, bound, count):
+        expected = primes_at_least(bound, count)
+        assert prime_seq(f"min:{bound}", count) == expected
+        assert next_prime_at_least(bound) == expected[0]
+
+    @pytest.mark.parametrize("bound", [10 ** 5, 10 ** 7])
+    def test_large_min_bound_keeps_memory_flat(self, bound):
+        tracemalloc.start()
+        try:
+            prime_seq(f"min:{bound}", 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_nth_rejects_index_zero(self):
         with pytest.raises(DomainError):
