@@ -7,6 +7,13 @@ and prints deterministic output: rationals render as "a/b", sets as
 endings.  Exit status is 0 on success, 1 on a domain failure (bad
 element, exhausted cap, failed verification), 2 on usage errors.
 
+Each handler computes and hands its raw result to `_show`, the one
+place that reads --format and writes stdout.  JSON is converted from
+the raw values by `_plain`, so the keys of the report commands
+(shift-check, status, density, elasticity --mode, verify-bifurcus) are
+the report's fields; text lines and CSV rows are built lazily, so a
+listing is formatted only for the format requested.
+
 The factorization cap comes from --cap when given, else the
 PUISEUX_CAP environment variable, else a built-in default.
 """
@@ -14,6 +21,7 @@ PUISEUX_CAP environment variable, else a built-in default.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
@@ -28,7 +36,7 @@ from .invariants import (bf_ff_status, decompose_stable_unstable, density_witnes
                          elasticity_set, elasticity_witnesses, monoid_elasticity,
                          shifted_lengths)
 from .monoid import classify_stability, contains, sweep, truncate
-from .rationals import format_rational, parse_rational
+from .rationals import INFINITY, format_rational, parse_rational
 from .specfile import NumeratorExpr, load_spec, spec_to_json
 
 
@@ -55,182 +63,130 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _emit(text: str):
+def _plain(value):
+    """value as JSON data: a rational or INFINITY as its "a/b" text, a
+    dataclass as the object of its fields, a dict with its keys and
+    values converted, any other iterable as a list; str, int, bool and
+    None as they are."""
+    if value is None or isinstance(value, (str, int)):
+        return value
+    if isinstance(value, Fraction) or value is INFINITY:
+        return format_rational(value)
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {_plain(k): _plain(v) for k, v in value.items()}
+    return [_plain(v) for v in value]
+
+
+def _show(args, doc, lines, header=None, rows=(), code=0) -> int:
+    """Write a result to stdout in the requested --format and return the
+    exit code; the one place output happens.  doc is dumped as JSON
+    (sorted keys; a callable is first called, for a document that costs
+    to build), header and rows are joined as CSV, lines as text.  Rows
+    and lines may be lazy, so only the chosen format is formatted."""
+    fmt = getattr(args, "format", "text")
+    if fmt == "json":
+        text = json.dumps(_plain(doc() if callable(doc) else doc),
+                          indent=2, sort_keys=True)
+    else:
+        text = "\n".join([header, *rows] if fmt == "csv" else lines)
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _emit_json(obj) -> int:
-    _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-    return 0
+    return code
 
 
 def _braces(values) -> str:
-    return "{" + ", ".join(format_rational(v) if isinstance(v, Fraction) else str(v)
-                           for v in values) + "}"
-
-
-def _csv(header: str, rows) -> str:
-    return "\n".join([header, *rows]) + "\n"
+    return "{" + ", ".join(map(format_rational, values)) + "}"
 
 
 def _load_tm(args):
-    spec = load_spec(args.spec)
-    return spec, truncate(spec, args.depth)
+    return truncate(load_spec(args.spec), args.depth)
 
 
 # --- subcommand handlers ---------------------------------------------------
 
 
 def _cmd_atoms(args) -> int:
-    _, tm = _load_tm(args)
-    strs = [format_rational(a) for a in tm.atoms]
-    if args.format == "json":
-        return _emit_json({"depth": args.depth, "atoms": strs})
-    if args.format == "csv":
-        _emit(_csv("atom", strs))
-        return 0
-    _emit(_braces(tm.atoms))
-    return 0
+    atoms = _load_tm(args).atoms
+    return _show(args, {"depth": args.depth, "atoms": atoms}, map(_braces, [atoms]),
+                 "atom", map(format_rational, atoms))
 
 
 def _cmd_contains(args) -> int:
-    _, tm = _load_tm(args)
-    answer = contains(tm, args.element)
-    if args.format == "json":
-        return _emit_json({"element": format_rational(args.element),
-                           "contains": answer})
-    _emit("true" if answer else "false")
-    return 0
+    answer = contains(_load_tm(args), args.element)
+    return _show(args, {"element": args.element, "contains": answer},
+                 ["true" if answer else "false"])
 
 
 def _cmd_factorize(args) -> int:
-    _, tm = _load_tm(args)
-    zs = factorizations(tm, args.element, cap=args.cap)
-    if args.format == "json":
-        return _emit_json({
-            "element": format_rational(args.element),
-            "count": len(zs),
-            "factorizations": [{"length": z.length,
-                                "terms": [[format_rational(a), m]
-                                          for a, m in z.terms],
-                                "rendered": z.render()} for z in zs]})
-    if args.format == "csv":
-        _emit(_csv("length,factorization",
-                   [f"{z.length},{z.render()}" for z in zs]))
-        return 0
-    _emit("\n".join(z.render() for z in zs))
-    return 0
+    zs = factorizations(_load_tm(args), args.element, cap=args.cap)
+    doc = {"element": args.element, "count": len(zs),
+           "factorizations": ({"length": z.length, "terms": z.terms,
+                               "rendered": z.render()} for z in zs)}
+    return _show(args, doc, (z.render() for z in zs), "length,factorization",
+                 (f"{z.length},{z.render()}" for z in zs))
 
 
 def _cmd_lengths(args) -> int:
-    _, tm = _load_tm(args)
-    ls = length_set(tm, args.element, cap=args.cap)
-    if args.format == "json":
-        return _emit_json({"element": format_rational(args.element),
-                           "lengths": list(ls)})
-    if args.format == "csv":
-        _emit(_csv("length", [str(l) for l in ls]))
-        return 0
-    _emit(_braces(ls))
-    return 0
+    ls = length_set(_load_tm(args), args.element, cap=args.cap)
+    return _show(args, {"element": args.element, "lengths": ls}, map(_braces, [ls]),
+                 "length", map(str, ls))
 
 
 def _cmd_elasticity(args) -> int:
-    spec = load_spec(args.spec)
     if args.element is not None:
-        tm = truncate(spec, args.depth)
-        rho = element_elasticity(tm, args.element, cap=args.cap)
-        if args.format == "json":
-            return _emit_json({"element": format_rational(args.element),
-                               "elasticity": format_rational(rho)})
-        _emit(format_rational(rho))
-        return 0
+        rho = element_elasticity(_load_tm(args), args.element, cap=args.cap)
+        return _show(args, {"element": args.element, "elasticity": rho},
+                     [format_rational(rho)])
     if args.mode == "symbolic":
-        report = monoid_elasticity(spec=spec, mode="symbolic")
+        report = monoid_elasticity(spec=load_spec(args.spec), mode="symbolic")
     else:
-        report = monoid_elasticity(tm=truncate(spec, args.depth), mode="truncated")
-    if args.format == "json":
-        return _emit_json({"mode": report.mode,
-                           "value": report.value_str(),
-                           "accepted": report.accepted,
-                           "witness_rule": report.witness_rule,
-                           "metadata_used": list(report.metadata_used)})
-    _emit(report.value_str())
-    return 0
+        report = monoid_elasticity(tm=_load_tm(args), mode="truncated")
+    return _show(args, report, [format_rational(report.value)])
 
 
 def _cmd_rset(args) -> int:
-    _, tm = _load_tm(args)
-    values = elasticity_set(tm, args.bound)
-    if args.format == "json":
-        return _emit_json({"bound": format_rational(args.bound),
-                           "elasticities": [format_rational(v) for v in values]})
-    if args.format == "csv":
-        _emit(_csv("elasticity", [format_rational(v) for v in values]))
-        return 0
-    _emit(_braces(values))
-    return 0
+    values = elasticity_set(_load_tm(args), args.bound)
+    return _show(args, {"bound": args.bound, "elasticities": values},
+                 map(_braces, [values]), "elasticity", map(format_rational, values))
 
 
 def _cmd_witnesses(args) -> int:
-    _, tm = _load_tm(args)
+    tm = _load_tm(args)
     values = elasticity_witnesses(tm, args.bound)
-    if args.format == "json":
-        return _emit_json({
-            "bound": format_rational(args.bound),
-            "monoid_elasticity": format_rational(tm.max_atom / tm.min_atom),
-            "witnesses": [format_rational(v) for v in values]})
-    if args.format == "csv":
-        _emit(_csv("element", [format_rational(v) for v in values]))
-        return 0
-    _emit(_braces(values))
-    return 0
+    doc = {"bound": args.bound, "monoid_elasticity": tm.max_atom / tm.min_atom,
+           "witnesses": values}
+    return _show(args, doc, map(_braces, [values]), "element",
+                 map(format_rational, values))
 
 
 def _cmd_classify(args) -> int:
-    spec = load_spec(args.spec)
-    labels = classify_stability(spec, args.depth)
+    labels = classify_stability(load_spec(args.spec), args.depth)
     items = sorted(labels.items())
-    if args.format == "json":
-        return _emit_json({"labels": {format_rational(a): lab for a, lab in items}})
-    if args.format == "csv":
-        _emit(_csv("atom,stability",
-                   [f"{format_rational(a)},{lab}" for a, lab in items]))
-        return 0
-    _emit("\n".join(f"{format_rational(a)} {lab}" for a, lab in items))
-    return 0
+    return _show(args, {"labels": labels},
+                 (f"{format_rational(a)} {lab}" for a, lab in items), "atom,stability",
+                 (f"{format_rational(a)},{lab}" for a, lab in items))
 
 
 def _cmd_decompose(args) -> int:
-    _, tm = _load_tm(args)
-    d = decompose_stable_unstable(tm, args.element, cap=args.cap)
-    if args.format == "json":
-        return _emit_json({"element": format_rational(args.element),
-                           "stable": format_rational(d.stable_part),
-                           "unstable": format_rational(d.unstable_part),
-                           "unique": d.unique,
-                           "stable_uniquely_factorable":
-                               d.stable_uniquely_factorable})
-    _emit(f"stable: {format_rational(d.stable_part)}\n"
-          f"unstable: {format_rational(d.unstable_part)}\n"
-          f"unique: {'true' if d.unique else 'false'}")
-    return 0
+    d = decompose_stable_unstable(_load_tm(args), args.element, cap=args.cap)
+    doc = {"element": args.element, "stable": d.stable_part,
+           "unstable": d.unstable_part, "unique": d.unique,
+           "stable_uniquely_factorable": d.stable_uniquely_factorable}
+    return _show(args, doc, [f"stable: {format_rational(d.stable_part)}",
+                             f"unstable: {format_rational(d.unstable_part)}",
+                             f"unique: {'true' if d.unique else 'false'}"])
 
 
 def _cmd_shift_check(args) -> int:
-    _, tm = _load_tm(args)
-    rep = shifted_lengths(tm, args.element, args.atom, cap=args.cap)
-    if args.format == "json":
-        return _emit_json({"applicable": rep.applicable, "reason": rep.reason,
-                           "base_lengths": list(rep.base_lengths),
-                           "shifted": list(rep.shifted), "ok": rep.ok})
+    rep = shifted_lengths(_load_tm(args), args.element, args.atom, cap=args.cap)
     if not rep.applicable:
-        _emit(f"inapplicable: {rep.reason}")
-        return 0
-    verdict = "ok" if rep.ok else "LAW VIOLATION"
-    _emit(f"{verdict}: lengths {_braces(rep.base_lengths)} -> "
-          f"{_braces(rep.shifted)}")
-    return 0
+        line = f"inapplicable: {rep.reason}"
+    else:
+        line = (f"{'ok' if rep.ok else 'LAW VIOLATION'}: lengths "
+                f"{_braces(rep.base_lengths)} -> {_braces(rep.shifted)}")
+    return _show(args, rep, [line])
 
 
 def _seq_from_expr(source: str):
@@ -257,30 +213,24 @@ def _cmd_density(args) -> int:
                              _seq_from_expr(args.b_seq),
                              args.target, args.epsilon,
                              budget_n=args.budget_n, budget_k=args.budget_k)
-    if args.format == "json":
-        _emit_json({"found": result.found, "n": result.n, "k": result.k,
-                    "ratio": None if result.ratio is None
-                    else format_rational(result.ratio),
-                    "error": None if result.error is None
-                    else format_rational(result.error),
-                    "diagnostics": result.diagnostics})
-        return 0 if result.found else 1
-    if result.found:
-        _emit(f"found: n={result.n} k={result.k} "
-              f"ratio={format_rational(result.ratio)} "
-              f"error={format_rational(result.error)}")
-        return 0
-    _emit(f"not found: {result.diagnostics}")
-    return 1
+    if not result.found:
+        return _show(args, result, [f"not found: {result.diagnostics}"], code=1)
+    return _show(args, result, [f"found: n={result.n} k={result.k} "
+                                f"ratio={format_rational(result.ratio)} "
+                                f"error={format_rational(result.error)}"])
 
 
 def _cmd_status(args) -> int:
-    spec = load_spec(args.spec)
-    report = bf_ff_status(spec)
-    if args.format == "json":
-        return _emit_json({"status": report.status, "reason": report.reason})
-    _emit(f"{report.status}: {report.reason}")
-    return 0
+    report = bf_ff_status(load_spec(args.spec))
+    return _show(args, report, [f"{report.status}: {report.reason}"])
+
+
+def _stage_lines(sm):
+    for rec in sm.records:
+        yield f"stage {rec.index}: {len(rec.added)} additions"
+        for pair in rec.added:
+            yield (f"  {format_rational(pair.reducible)} -> prime {pair.prime}, "
+                   f"atoms {format_rational(pair.low)} + {format_rational(pair.high)}")
 
 
 def _cmd_bifurcus(args) -> int:
@@ -288,37 +238,14 @@ def _cmd_bifurcus(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(staged_to_json(sm))
-    if args.format == "json":
-        return _emit_json(staged_to_dict(sm))
-    lines = []
-    for rec in sm.records:
-        lines.append(f"stage {rec.index}: {len(rec.added)} additions")
-        for pair in rec.added:
-            lines.append(f"  {format_rational(pair.reducible)} -> prime "
-                         f"{pair.prime}, atoms {format_rational(pair.low)} + "
-                         f"{format_rational(pair.high)}")
-    _emit("\n".join(lines))
-    return 0
+    return _show(args, lambda: staged_to_dict(sm), _stage_lines(sm))
 
 
 def _cmd_verify_bifurcus(args) -> int:
-    sm = load_staged(args.staged)
-    report = bifurcus_verify(sm, args.bound)
-    if args.format == "json":
-        _emit_json({
-            "bound": format_rational(report.bound),
-            "min_element": None if report.min_element is None
-            else format_rational(report.min_element),
-            "min_ok": report.min_ok,
-            "atoms_persist_ok": report.atoms_persist_ok,
-            "lost_atoms": [format_rational(a) for a in report.lost_atoms],
-            "coverage_ok": report.coverage_ok,
-            "uncovered": [[j, format_rational(x)] for j, x in report.uncovered],
-            "passed": report.passed})
-    else:
-        _emit("\n".join(report.summary_lines()
-                        + ["passed" if report.passed else "FAILED"]))
-    return 0 if report.passed else 1
+    report = bifurcus_verify(load_staged(args.staged), args.bound)
+    return _show(args, {**vars(report), "passed": report.passed},
+                 [*report.summary_lines(), "passed" if report.passed else "FAILED"],
+                 code=0 if report.passed else 1)
 
 
 def _plot_marker(tm, v: int, table: dict) -> str:
@@ -333,15 +260,13 @@ def _plot_marker(tm, v: int, table: dict) -> str:
 
 
 def _cmd_plot(args) -> int:
-    _, tm = _load_tm(args)
-    header = "element,elasticity,marker" + (",approx" if args.decimal else "")
-    rows = [header]
+    tm = _load_tm(args)
+    rows = ["element,elasticity,marker" + (",approx" if args.decimal else "")]
     try:
         table = sweep(tm, args.bound)
     except ResourceCapError:
         rows.append("capped,,element enumeration exhausted the work budget")
-        _emit("\n".join(rows) + "\n")
-        return 1
+        return _show(args, None, rows, code=1)
     cap = args.cap  # PUISEUX_CAP is read only once a nonzero element is checked
     capped_at = None
     for v, (lo, hi, count) in table.items():
@@ -361,19 +286,16 @@ def _cmd_plot(args) -> int:
             row += f",{float(rho)!r}"
         rows.append(row)
     if capped_at is not None:
-        rows.append(f"capped,{format_rational(capped_at)},"
-                    "factorization cap exceeded")
-    _emit("\n".join(rows) + "\n")
-    return 1 if capped_at is not None else 0
+        rows.append(f"capped,{format_rational(capped_at)},factorization cap exceeded")
+    return _show(args, None, rows, code=0 if capped_at is None else 1)
 
 
 def _cmd_catalog(args) -> int:
     text = spec_to_json(catalog(args.name, args.depth))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        return 0
-    _emit(text)
+    if not args.out:
+        return _show(args, None, [text])
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(text)
     return 0
 
 
@@ -533,10 +455,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PuiseuxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PuiseuxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

@@ -18,6 +18,7 @@ without sweeping again.
 from __future__ import annotations
 
 import json
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -166,9 +167,6 @@ class StagedMonoid:
     def final(self) -> TruncatedMonoid:
         return self.stages[-1]
 
-    def all_primes(self) -> list[int]:
-        return [pair.prime for rec in self.records for pair in rec.added]
-
 
 def _not_split_in_two(tm: TruncatedMonoid, xs) -> list[Fraction]:
     """The x in xs that are not a sum of two atoms of tm, tested on
@@ -234,6 +232,8 @@ def bifurcus_build(num_stages: int, value_bound) -> StagedMonoid:
     """
     if not isinstance(num_stages, int) or isinstance(num_stages, bool) or num_stages < 1:
         raise DomainError("num_stages must be a positive integer")
+    if num_stages > sys.maxsize:
+        raise DomainError(f"num_stages {num_stages} is past {sys.maxsize}")
     bound = value_bound if isinstance(value_bound, Fraction) else Fraction(value_bound)
     if bound < MIN_VALUE_BOUND:
         raise DomainError("value_bound below 7/6 leaves the first stage empty")

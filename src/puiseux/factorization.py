@@ -69,12 +69,6 @@ class Factorization:
     def value(self) -> Fraction:
         return sum((a * m for (a, m) in self.terms), Fraction(0))
 
-    def multiplicity(self, atom: Fraction) -> int:
-        for a, m in self.terms:
-            if a == atom:
-                return m
-        return 0
-
     @cached_property
     def _text(self) -> str:
         return " + ".join(f"{m} x {format_rational(a)}" for (a, m) in self.terms) or "0"

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 
-from .errors import DomainError, InsufficientMetadataError, NotAMemberError
+from .errors import (DomainError, InsufficientMetadataError, NotAMemberError,
+                     SpecValidationError)
 from .monoid import (Feasibility, TruncatedMonoid, WorkBudget, _as_budget,
                      is_primary, sweep)
 from .factorization import FactorizationCounts, ResidueSteps
@@ -43,9 +44,6 @@ class ElasticityReport:
     accepted: bool | None     # None = unknown / not applicable
     witness_rule: str
     metadata_used: tuple[str, ...] = ()
-
-    def value_str(self) -> str:
-        return format_rational(self.value)
 
 
 def monoid_elasticity(spec=None, tm: TruncatedMonoid | None = None,
@@ -388,13 +386,13 @@ def _spec_is_primary(spec) -> tuple[bool, str]:
         elif fam.index_end is not None:
             try:
                 triples = fam.instantiate(fam.index_end - fam.index_start + 1)
-            except Exception as exc:
+            except SpecValidationError as exc:
                 return False, str(exc)
             finite_sets.append([p for _, p, _ in triples])
         else:
             try:
                 fam.instantiate(_PRIMARY_SAMPLE)
-            except Exception as exc:
+            except SpecValidationError as exc:
                 return False, str(exc)
             unbounded.append(fam)
     # unbounded families pairwise: admitted prime sets are cofinite in the

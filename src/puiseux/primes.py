@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 import random
+import sys
 from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -185,6 +186,8 @@ def prime_seq(filt, count: int) -> list[int]:
     f = PrimeFilter.parse(filt)
     if count < 0:
         raise DomainError("count must be nonnegative")
+    if count > sys.maxsize:
+        raise DomainError(f"cannot list {count} primes: the count is past {sys.maxsize}")
     return list(islice(filter(f.admits, _primes_from(f.min_bound)), count))
 
 

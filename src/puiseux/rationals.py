@@ -3,10 +3,10 @@
 Values are ordinary fractions.Fraction instances (arbitrary-precision,
 always in lowest terms with positive denominator), so the invariants
 gcd(numerator, denominator) = 1 and denominator >= 1 hold for free and
-zero is canonically 0/1.  Construction funnels through canonical() /
-parse_rational(), which reject negative values; no floating point is
-used anywhere.  A literal or a result too long for Python's int/str
-conversion limit is a DomainError.
+zero is canonically 0/1.  Literals are read by parse_rational(),
+which admits no sign, so no negative value is built from text; no
+floating point is used anywhere.  A literal or a result too long for
+Python's int/str conversion limit is a DomainError.
 """
 
 from __future__ import annotations
@@ -26,20 +26,6 @@ class _Infinity:
 
 INFINITY = _Infinity()
 
-def canonical(numer: int, denom: int) -> Fraction:
-    """Reduced nonnegative fraction numer/denom.
-
-    canonical(4, 6) == 2/3, canonical(0, 7) == 0/1.  Rejects a zero
-    denominator and any negative input.
-    """
-    if not isinstance(numer, int) or not isinstance(denom, int):
-        raise DomainError("canonical() needs integer numerator and denominator")
-    if denom == 0:
-        raise DomainError("zero denominator")
-    if numer < 0 or denom < 0:
-        raise DomainError("negative rationals are not representable here")
-    return Fraction(numer, denom)
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse the literal syntax "a/b", or "a" meaning a/1.
@@ -57,10 +43,13 @@ def parse_rational(text: str) -> Fraction:
     if slash and (not tail.isascii() or not tail.isdigit()):
         raise DomainError(f"malformed rational literal {text!r}")
     try:
-        return canonical(int(head), int(tail) if slash else 1)
+        numer, denom = int(head), int(tail) if slash else 1
     except ValueError:  # past Python's int/str digit limit
         raise DomainError(f"rational literal of {len(s)} characters has too "
                           "many digits") from None
+    if denom == 0:
+        raise DomainError("zero denominator")
+    return Fraction(numer, denom)
 
 
 def format_rational(value) -> str:

@@ -204,9 +204,6 @@ class NumeratorExpr:
         col = _fold(self.ast, ns, ps)
         return [col] * len(ns) if type(col) is int else list(col)
 
-    def evaluate(self, n: int, p: int) -> int:
-        return self.values((n,), (p,))[0]
-
     def is_constant(self) -> bool:
         return type(_fold(self.ast, (), ())) is int
 

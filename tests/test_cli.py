@@ -31,6 +31,9 @@ TOO_DEEP = f"error: numerator expression nests deeper than {MAX_EXPR_DEPTH} leve
 # Python 3.11 and later refuse int <-> str conversions past 4,300 digits
 PAST_DIGIT_LIMIT = "1" * 5001
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+# a count past sys.maxsize, and the error that names a prime count past it
+HUGE = "9" * 20
+PRIME_COUNT = "cannot list {} primes: the count is past " + str(sys.maxsize)
 # every character the numerator tokenizer knows
 EXPR_ALPHABET = "0123456789np+-*/() "
 
@@ -92,6 +95,18 @@ class TestTextGoldens:
         terms = [t for line in out.splitlines() for t in line.split(" + ")]
         assert len(out.splitlines()) == 130
         assert len(formatted) == len(terms)
+
+    def test_text_factorize_formats_no_json_terms(self, capsys, tmp_path,
+                                                   monkeypatch):
+        # the JSON document's terms are formatted only for --format json
+        spec = _catalog_file(tmp_path, "bfnotff", 8)
+        formatted = []
+        monkeypatch.setattr(cli, "format_rational",
+                            lambda v: formatted.append(v) or format_rational(v))
+        argv = ("factorize", "--spec", spec, "--depth", "8", "--element", "3",
+                "--cap", "500")
+        assert _run(capsys, *argv)[0] == 0 and formatted == []
+        assert _run(capsys, *argv, "--format", "json")[0] == 0 and formatted
 
     def test_monoid_elasticity(self, capsys, tmp_path):
         spec = _catalog_file(tmp_path, "bfplot")
@@ -598,6 +613,22 @@ class TestFailureModes:
         for fmt in ("text", "json"):
             assert _run(capsys, "elasticity", "--spec", spec, "--format", fmt) == (
                 1, "", "error: result has too many digits to print\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["atoms", "--spec", "bfplot", "--depth", HUGE], PRIME_COUNT.format(10**20)),
+        (["atoms", "--spec", "index-1e20"], PRIME_COUNT.format(10**20 + 4)),
+        (["status", "--spec", "index-1e20"], PRIME_COUNT.format(10**20 + 24)),
+        (["bifurcus", "--stages", HUGE, "--bound", "7/6"],
+         f"num_stages {HUGE} is past {sys.maxsize}"),
+    ], ids=["atoms-depth", "atoms-index", "status-index", "bifurcus-stages"])
+    def test_count_past_maxsize(self, capsys, tmp_path, argv, message):
+        # islice refuses a stop past sys.maxsize with a raw ValueError
+        specs = {"bfplot": _catalog_file(tmp_path, "bfplot"),
+                 "index-1e20": _write(tmp_path, json.dumps({"schema": 1, "families": [
+                     {"kind": "symbolic", "numerator": "n", "prime_filter": "all",
+                      "index_start": 10**20}]}), "index.json")}
+        argv = [specs.get(arg, arg) for arg in argv]
+        assert _run(capsys, *argv) == (1, "", f"error: {message}\n")
 
     def test_out_of_memory(self, capsys, tmp_path, monkeypatch):
         def no_memory(*_args):

@@ -125,7 +125,7 @@ class TestBifurcusBuild:
                                                            most_stages):
         for num_stages in range(1, most_stages + 1):
             sm = bifurcus_build(num_stages, bound)
-            primes = sm.all_primes()
+            primes = [pair.prime for rec in sm.records for pair in rec.added]
             assert all(p < q for p, q in zip(primes, primes[1:]))
             table = sieve(max(primes) if primes else 2)
             used = set()

@@ -21,7 +21,8 @@ small_gens = st.lists(
 
 
 def _mult_tuple(z: Factorization, atoms) -> tuple[int, ...]:
-    return tuple(z.multiplicity(a) for a in atoms)
+    terms = dict(z.terms)
+    return tuple(terms.get(a, 0) for a in atoms)
 
 
 class TestFactorizations:

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import pytest
@@ -63,6 +64,12 @@ class TestPrimeFilter:
 
     def test_min_sequence(self):
         assert prime_seq(PrimeFilter.parse("min:13"), 3) == [13, 17, 19]
+
+    def test_count_past_maxsize(self):
+        with pytest.raises(DomainError, match=f"cannot list {sys.maxsize + 1} primes"):
+            prime_seq("all", sys.maxsize + 1)
+        with pytest.raises(DomainError, match="cannot list"):
+            PrimeFilter("all").nth(sys.maxsize + 1)
 
     def test_nth_is_one_indexed(self):
         assert PrimeFilter.parse("exclude:[3]").nth(2) == 5

@@ -5,29 +5,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from puiseux.errors import DomainError
-from puiseux.rationals import INFINITY, canonical, format_rational, parse_rational
+from puiseux.rationals import INFINITY, format_rational, parse_rational
 
 
 class TestCanonical:
     def test_reduces(self):
-        assert canonical(4, 6) == Fraction(2, 3)
+        value = parse_rational("4/6")
+        assert (value.numerator, value.denominator) == (2, 3)
 
     def test_zero(self):
-        assert canonical(0, 7) == Fraction(0)
+        value = parse_rational("0/7")
+        assert (value.numerator, value.denominator) == (0, 1)
 
     def test_zero_denominator(self):
-        with pytest.raises(DomainError):
-            canonical(1, 0)
-
-    def test_negative(self):
-        with pytest.raises(DomainError):
-            canonical(-1, 2)
-        with pytest.raises(DomainError):
-            canonical(1, -2)
-
-    def test_non_integer(self):
-        with pytest.raises(DomainError):
-            canonical(1.5, 2)
+        with pytest.raises(DomainError, match="^zero denominator$"):
+            parse_rational("1/0")
 
 
 class TestParseFormat:

@@ -62,7 +62,7 @@ class TestNumeratorExpr:
         ("n*n - 1", 3, 5, 8),
     ])
     def test_evaluate(self, src, n, p, value):
-        assert NumeratorExpr.parse(src).evaluate(n, p) == value
+        assert NumeratorExpr.parse(src).values((n,), (p,)) == [value]
 
     @pytest.mark.parametrize("bad", [
         "", "n +", "q", "1.5", "n//p", "n // 0", "(n", "n)", "2 ** 3",
@@ -79,7 +79,7 @@ class TestNumeratorExpr:
     ], ids=["parentheses", "sum", "product"])
     def test_depth_limit(self, shape, value):
         expr = NumeratorExpr.parse(shape(MAX_EXPR_DEPTH))
-        assert expr.evaluate(3, 5) == value(MAX_EXPR_DEPTH)
+        assert expr.values((3,), (5,)) == [value(MAX_EXPR_DEPTH)]
         with pytest.raises(SpecSyntaxError, match="nests deeper than"):
             NumeratorExpr.parse(shape(MAX_EXPR_DEPTH + 1))
 
