@@ -137,11 +137,15 @@ class AtomPair:
     high: Fraction
 
     def __post_init__(self):
-        if self.low + self.high != self.reducible:
+        # cross-multiplied: every denominator is positive
+        (n, d), (m, e), (a, b) = (self.low.as_integer_ratio(),
+                                  self.high.as_integer_ratio(),
+                                  self.reducible.as_integer_ratio())
+        if (n * e + m * d) * b != a * d * e:
             raise DomainError(
                 f"atom pair {format_rational(self.low)} + {format_rational(self.high)} "
                 f"does not sum to {format_rational(self.reducible)}")
-        if self.low <= 0 or self.low >= self.high:
+        if n <= 0 or n * e >= m * d:
             raise DomainError("atom pair must satisfy 0 < low < high")
 
 
@@ -204,14 +208,19 @@ def _grow(base: TruncatedMonoid, bound: Fraction):
         floor = max(PRIME_FLOOR, 2 ** j)
         for a in missing:
             p = last = next_prime_at_least(max(floor, last + 1))
-            half = a / 2
-            pair = AtomPair(reducible=a, prime=p,
-                            low=half - Fraction(1, p), high=half + Fraction(1, p))
+            # a/2 -/+ 1/p = (u*p -/+ 2*v) / (2*v*p) for a = u/v
+            u, v = a.as_integer_ratio()
+            pair = AtomPair(reducible=a, prime=p, low=Fraction(u * p - 2 * v, 2 * v * p),
+                            high=Fraction(u * p + 2 * v, 2 * v * p))
             added.append(pair)
             gens.extend((pair.low, pair.high))
+        reducibles = tuple(a for a, _lo in shortest)
+        if not added:
+            # the monoid stays as it is, so every later stage is this one
+            for i in count(j):
+                yield StageRecord(index=i, added=()), reducibles, prev
         prev = from_generators(gens)
-        yield (StageRecord(index=j, added=tuple(added)),
-               tuple(a for a, _lo in shortest), prev)
+        yield StageRecord(index=j, added=tuple(added)), reducibles, prev
 
 
 def _staged(base: TruncatedMonoid, bound: Fraction, grown) -> StagedMonoid:
@@ -283,7 +292,7 @@ def bifurcus_verify(sm: StagedMonoid, bound) -> BifurcusVerification:
     tested for a two-atom split independently of the sweep.
     """
     b = bound if isinstance(bound, Fraction) else Fraction(bound)
-    if b < 0:
+    if b.numerator < 0:
         raise DomainError("bound must be nonnegative")
     if b > sm.value_bound:
         raise DomainError(
@@ -294,14 +303,17 @@ def bifurcus_verify(sm: StagedMonoid, bound) -> BifurcusVerification:
     min_element = final.min_atom if final.min_atom <= b else None
     min_ok = min_element == Fraction(1, 3)
 
-    final_atoms = set(final.atoms)
-    lost = sorted({a for stage in sm.stages for a in stage.atoms} - final_atoms)
+    # matched on the final stage's integer scale
+    final_atoms = set(final.scaled_gens)
+    lost = sorted({a for stage in sm.stages for a in stage.atoms
+                   if final.scale(a) not in final_atoms})
     atoms_persist_ok = not lost
 
     uncovered = []
     for j in range(1, len(sm.stages)):
+        xs = sm.reducibles[j - 1]  # ascending
         uncovered.extend((j, x) for x in _not_split_in_two(
-            sm.stages[j], [x for x in sm.reducibles[j - 1] if x <= b]))
+            sm.stages[j], xs[:bisect_right(xs, b)]))
     return BifurcusVerification(bound=b, min_element=min_element, min_ok=min_ok,
                                 atoms_persist_ok=atoms_persist_ok,
                                 lost_atoms=tuple(lost),

@@ -10,12 +10,32 @@ Membership uses a depth-first search over multiplicities with gcd and
 smallest-coin pruning (lengths are bounded by x / min-atom, so the
 search is finite).  Atom reduction is one pass of that search: a
 generator is dropped when it is a combination of the generators below
-it, and all the queries share one memo.  Everything below a bound
-comes from one sweep: a sparse coin-change table, grown one atom at a
-time, that holds the shortest and longest factorization length and
-the number of factorizations of every element up to the bound.  The
-table is keyed by the elements themselves, so it stays desk-scale
-even when D is astronomically large.
+it, and all the queries share one memo.  A query that the gcd test
+leaves open first asks a denominator certificate, which proves many
+generators atoms without searching:
+
+    Let g = n_g/d (in lowest terms) be a generator with exactly one
+    generator h = n_h/d below it of the same denominator.  Let L be
+    the lcm of the other distinct denominators of the generators, and
+    r = d / gcd(d, L).  Suppose g is a combination of the generators
+    below it: g = c*h + rest, with c >= 0 and rest a combination of
+    generators below g other than h.  Their denominators divide L, so
+    (g - c*h)*L = (n_g - c*n_h)*L/d is an integer, and r divides
+    n_g - c*n_h.  As n_h is prime to d, hence to r, c = c0 (mod r)
+    for c0 = n_g * n_h^-1 mod r, so c >= c0 and g >= c*h >= c0*h.
+    Hence c0*h > g proves g an atom.  With r = 1, c0 is 0 and nothing
+    is proved; with two generators of denominator d below g, c is
+    bound to no single residue, so the certificate is not asked.
+
+L is read off prefix and suffix lcms over the distinct denominators,
+built once, on the first query that asks; nothing is factored.
+
+Everything below a bound comes from one sweep: a sparse coin-change
+table, grown one atom at a time, that holds the shortest and longest
+factorization length and the number of factorizations of every
+element up to the bound.  The table is keyed by the elements
+themselves, so it stays desk-scale even when D is astronomically
+large.
 """
 
 from __future__ import annotations
@@ -75,10 +95,10 @@ class TruncatedMonoid:
 
     def scale(self, x: Fraction) -> int | None:
         """x * denom_lcm when that is a nonnegative integer, else None."""
-        t = x * self.denom_lcm
-        if t.denominator != 1 or t < 0:
+        q, r = divmod(self.denom_lcm, x.denominator)
+        if r or x.numerator < 0:
             return None
-        return t.numerator
+        return x.numerator * q
 
     def unscale(self, t: int) -> Fraction:
         return Fraction(t, self.denom_lcm)
@@ -148,20 +168,77 @@ class Feasibility:
         return False
 
 
-def _reduce_to_atoms(coins: list[int]) -> list[int]:
+class _DenominatorCertificate:
+    """The denominator certificate of the module docstring for the
+    distinct scaled generators coins, descending, and by_scaled, which
+    maps each to its generator.  Built on the first query, so a
+    reduction that asks none pays nothing."""
+
+    def __init__(self, coins: list[int], by_scaled: dict[int, Fraction]):
+        self.coins, self.by_scaled = coins, by_scaled
+        self.pairs = None
+
+    def _build(self):
+        # pairs maps the index of the second least generator of each
+        # denominator to the denominator's place among the distinct
+        # ones and the index of its least generator
+        self.gens = [self.by_scaled[s] for s in self.coins]
+        place, least, self.pairs = {}, {}, {}
+        for k in range(len(self.gens) - 1, -1, -1):  # ascending
+            d = self.gens[k].denominator
+            if d not in place:
+                place[d] = len(place)
+                least[d] = k
+            elif d in least:
+                self.pairs[k] = (place[d], least.pop(d))
+        dens = list(place)
+        self.prefix, self.suffix = [1], [1]  # lcm of dens[:i], of dens[i+1:]
+        for d in dens[:-1]:
+            self.prefix.append(math.lcm(self.prefix[-1], d))
+        for d in reversed(dens[1:]):
+            self.suffix.append(math.lcm(self.suffix[-1], d))
+        self.suffix.reverse()
+
+    def proves_atom(self, k: int) -> bool:
+        if self.pairs is None:
+            self._build()
+        pair = self.pairs.get(k)
+        if pair is None:
+            return False
+        i, j = pair
+        g, h = self.gens[k], self.gens[j]
+        d = g.denominator
+        # r = d / gcd(d, L) with L the lcm of prefix[i] and suffix[i]
+        r = d // math.lcm(math.gcd(d, self.prefix[i]), math.gcd(d, self.suffix[i]))
+        c0 = g.numerator * pow(h.numerator, -1, r) % r
+        return c0 * h.numerator > g.numerator
+
+
+def _reduce_to_atoms(by_scaled: dict[int, Fraction]) -> list[int]:
     """The scaled generators that are not a sum of two nonzero elements
-    of the monoid they generate, ascending; coins are the distinct
-    scaled generators in descending order.
+    of the monoid they generate, ascending; by_scaled maps each distinct
+    scaled generator to its generator.
 
     A generator g splits exactly when it is a nonnegative combination
     of the generators strictly below it, so this is one feasibility
     query per generator on the coins after it, all sharing one memo and
-    one default budget.
+    one default budget.  A query the gcd test leaves open asks the
+    denominator certificate before it searches.
     """
+    coins = sorted(by_scaled, reverse=True)
     oracle, budget = Feasibility(tuple(coins)), _as_budget()
+    certificate = _DenominatorCertificate(coins, by_scaled)
     least_sum = 2 * coins[-1]  # nothing below the sum of two generators splits
-    atoms = [s for k, s in enumerate(coins)
-             if s < least_sum or not oracle.check(k + 1, s, budget)]
+    atoms = []
+    for k, s in enumerate(coins):
+        if s >= least_sum:
+            split = oracle._settled(k + 1, s)
+            if split is None:
+                split = (not certificate.proves_atom(k)
+                         and oracle.check(k + 1, s, budget))
+            if split:
+                continue
+        atoms.append(s)
     atoms.reverse()
     return atoms
 
@@ -178,14 +255,14 @@ def from_generators(generators) -> TruncatedMonoid:
     gens = []
     for g in generators:
         f = g if isinstance(g, Fraction) else Fraction(g)
-        if f <= 0:
+        if f.numerator <= 0:
             raise DomainError(f"generator {format_rational(f)} is not positive")
         gens.append(f)
     if not gens:
         raise DomainError("a monoid truncation needs at least one generator")
     D = math.lcm(*(g.denominator for g in gens))
     by_scaled = {g.numerator * (D // g.denominator): g for g in gens}
-    scaled = _reduce_to_atoms(sorted(by_scaled, reverse=True))
+    scaled = _reduce_to_atoms(by_scaled)
     return TruncatedMonoid(atoms=tuple(by_scaled[s] for s in scaled), denom_lcm=D,
                            scaled_gens=tuple(scaled))
 

@@ -2,9 +2,11 @@
 
 Every prime this package uses comes from one ascending stream,
 _primes_from(n): the primes of a fixed table below _TABLE_TOP, sieved
-once on first use, then candidates past the top tested one at a time
-by is_prime.  prime_seq filters that stream and next_prime_at_least
-takes its first prime, so memory stays flat however large the floor.
+once on first use; then windows of _TABLE_TOP integers, each sieved by
+the table's primes up to its square root, up to _TABLE_TOP squared;
+then candidates tested one at a time by is_prime.  prime_seq filters
+that stream and next_prime_at_least takes its first prime, so memory
+stays flat however large the floor.
 
 is_prime is a Miller-Rabin test.  Below _DETERMINISTIC_LIMIT the fixed
 witness set is known to be exhaustive, so answers, and with them every
@@ -18,11 +20,11 @@ from __future__ import annotations
 import logging
 import random
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import islice
+from itertools import compress, islice
 from math import gcd, isqrt, prod
 
 from .errors import DomainError, SpecValidationError
@@ -87,11 +89,29 @@ def _table() -> tuple[int, ...]:
     return tuple(i for i, f in enumerate(flags) if f)
 
 
+def _window(lo: int) -> Iterator[int]:
+    """The primes in [lo, lo + _TABLE_TOP), for _TABLE_TOP <= lo and
+    lo + _TABLE_TOP <= _TABLE_TOP**2, by a sieve of Eratosthenes whose
+    primes are the table's up to the square root of the window top."""
+    table, hi = _table(), lo + _TABLE_TOP
+    flags = bytearray([1]) * _TABLE_TOP
+    for p in islice(table, bisect_right(table, isqrt(hi - 1))):
+        first = -lo % p  # offset of the window's first multiple of p
+        flags[first::p] = bytes(len(range(first, _TABLE_TOP, p)))
+    return compress(range(lo, hi), flags)
+
+
 def _primes_from(n: int) -> Iterator[int]:
     """Every prime >= n, increasing, without end."""
     table = _table()
     yield from islice(table, bisect_left(table, n), None)
-    candidate = max(n, _TABLE_TOP) | 1  # past the top only odd numbers
+    # windows aligned to multiples of _TABLE_TOP, while the table's
+    # primes reach their square roots
+    lo = max(n, _TABLE_TOP) // _TABLE_TOP * _TABLE_TOP
+    while lo < _TABLE_TOP ** 2:
+        yield from (q for q in _window(lo) if q >= n)
+        lo += _TABLE_TOP
+    candidate = max(n, lo) | 1  # past the windows only odd numbers
     while True:
         if is_prime(candidate):
             yield candidate

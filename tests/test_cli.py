@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from puiseux import cli, factorization
+from puiseux import cli, constructions, factorization
 from puiseux.factorization import factorizations
 from puiseux.monoid import elements_up_to, truncate
 from puiseux.rationals import format_rational
@@ -54,6 +55,10 @@ def _catalog_file(tmp_path, name, depth=5):
     assert cli.main(["catalog", "--name", name, "--depth", str(depth),
                      "--out", str(path)]) == 0
     return str(path)
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _run(capsys, *argv):
@@ -334,6 +339,45 @@ class TestBifurcusCommands:
                             str(staged), "--bound", "3/2",
                             "--format", "json")
         assert code == 0 and json.loads(out)["passed"] is True
+
+    # sha256 of stdout and of the written file, pinned before the staged
+    # build moved to integer arithmetic and the denominator certificate
+    def test_four_stages_at_three_halves_pinned(self, capsys, tmp_path):
+        staged = tmp_path / "staged.json"
+        code, out, _ = _run(capsys, "bifurcus", "--stages", "4", "--bound", "3/2",
+                            "--out", str(staged))
+        assert code == 0 and len(out.splitlines()) == 162
+        assert _sha(out) == ("92f20f0db4c358957563458f2032ba24"
+                             "ac6c79b6dcd3fc28ecf90198a3919968")
+        assert _sha(staged.read_text(encoding="utf-8")) == (
+            "fc2e690046673c113949fa29d917d2c38c6d533cf6b83b2ca58caaa16df5c32f")
+        code, out, _ = _run(capsys, "verify-bifurcus", "--staged", str(staged),
+                            "--bound", "3/2")
+        assert code == 0 and _sha(out) == (
+            "f254d92150a1c7208d4b680ba8b69144c7d3d6cf922615213e39a3e282c382f5")
+        code, out, _ = _run(capsys, "verify-bifurcus", "--staged", str(staged),
+                            "--bound", "3/2", "--format", "json")
+        assert code == 0 and _sha(out) == (
+            "084e5e6381a79e1b2d1ed981374e1560efbbcd2a58fa941b9ff4e19b9a63ea5f")
+
+    def test_stages_after_an_empty_one_sweep_nothing(self, capsys, tmp_path,
+                                                     monkeypatch):
+        # stage 2 adds nothing, so stages 3 to 1,000 repeat it unswept,
+        # in the build and in the loader's replay alike
+        swept = []
+        sweep = constructions.sweep
+        monkeypatch.setattr(constructions, "sweep",
+                            lambda *a, **k: swept.append(1) or sweep(*a, **k))
+        staged = tmp_path / "staged.json"
+        code, out, _ = _run(capsys, "bifurcus", "--stages", "1000", "--bound", "7/6",
+                            "--out", str(staged))
+        assert code == 0 and len(swept) == 2
+        assert out.splitlines()[-1] == "stage 1000: 0 additions"
+        assert len(out.splitlines()) == 1001 and _sha(out) == (
+            "0da1d9157ba957e0254ec9124fa4eaa77cba54107d3bb3a1508cda47fa044df2")
+        code, out, _ = _run(capsys, "verify-bifurcus", "--staged", str(staged),
+                            "--bound", "7/6")
+        assert code == 0 and out.splitlines()[-1] == "passed" and len(swept) == 4
 
     def test_verify_rejects_tampered_file(self, capsys, tmp_path):
         staged = tmp_path / "staged.json"

@@ -6,12 +6,12 @@ import pytest
 from oracles import sieve
 from puiseux import constructions
 from puiseux.constructions import (BASE_GENERATORS, CATALOG_NAMES, AtomPair,
-                                   bifurcus_build, bifurcus_verify, catalog,
-                                   load_staged, staged_from_dict,
-                                   staged_from_json, staged_to_dict,
-                                   staged_to_json)
+                                   StagedMonoid, StageRecord, bifurcus_build,
+                                   bifurcus_verify, catalog, load_staged,
+                                   staged_from_dict, staged_from_json,
+                                   staged_to_dict, staged_to_json)
 from puiseux.errors import DomainError, SpecValidationError
-from puiseux.monoid import sweep, truncate
+from puiseux.monoid import from_generators, sweep, truncate
 
 DATA = Path(__file__).parent / "data"
 
@@ -180,6 +180,17 @@ class TestBifurcusVerify:
         assert v.atoms_persist_ok and v.lost_atoms == ()
         assert v.coverage_ok and v.uncovered == ()
         assert all(isinstance(line, str) for line in v.summary_lines())
+
+    def test_lost_atoms_are_reported(self):
+        # 1/6 makes 1/3 and 1/2 reducible, and 1/5's denominator does not
+        # divide the final stage's 6
+        stages = (from_generators([Fraction(1, 5), Fraction(1, 3), Fraction(1, 2)]),
+                  from_generators([Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]))
+        sm = StagedMonoid(stages=stages, records=(StageRecord(1, ()),),
+                          value_bound=Fraction(3, 2), reducibles=((),))
+        v = bifurcus_verify(sm, Fraction(3, 2))
+        assert not v.atoms_persist_ok and not v.passed
+        assert v.lost_atoms == (Fraction(1, 5), Fraction(1, 3), Fraction(1, 2))
 
     def test_lower_bound_also_verifies(self):
         sm = bifurcus_build(2, Fraction(3, 2))

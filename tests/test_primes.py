@@ -126,6 +126,17 @@ class TestPrimeTable:
         assert prime_seq(f"min:{bound}", count) == expected
         assert next_prime_at_least(bound) == expected[0]
 
+    # windows [k * 2**16, (k + 1) * 2**16) are sieved up to 2**32 and
+    # is_prime tests every candidate past that; the 12 primes from
+    # offsets -40, -100 and -300 cross the edge at k * 2**16
+    @pytest.mark.parametrize("k, offset", [(2, -40), (2, 0), (20, -100), (20, 1),
+                                           (2 ** 16, -300), (2 ** 16, -1)])
+    def test_windows_against_trial_division(self, k, offset):
+        bound = k * primes._TABLE_TOP + offset
+        expected = primes_at_least(bound, 12)
+        assert prime_seq(f"min:{bound}", 12) == expected
+        assert next_prime_at_least(bound) == expected[0]
+
     @pytest.mark.parametrize("bound", [10 ** 5, 10 ** 7])
     def test_large_min_bound_keeps_memory_flat(self, bound):
         tracemalloc.start()
