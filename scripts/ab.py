@@ -16,8 +16,10 @@ steadier than two separate benchmark runs.
 
 Printed: each op's median time over the rounds on both trees and the
 ratio checkout/rev, the summed medians, and whether every exit code,
-stdout and stderr matched (work-directory paths read alike).  The exit
-code is 0 when every output matched, 1 when one differed.
+stdout and stderr matched (work-directory paths read alike).  An op
+that raises is recorded with the exception as its exit code, so one
+that raises in only one tree shows as a difference.  The exit code is 0 when every output matched,
+1 when one differed.
 """
 
 from __future__ import annotations
@@ -103,11 +105,13 @@ def _run(cli, argv, workdir: str):
             code = cli.main([a.replace("{w}", workdir) for a in argv])
         except SystemExit as exc:
             code = exc.code
+        except Exception as exc:  # an op that raises is an output, not a stop
+            code = f"raised {type(exc).__name__}: {exc}"
     seconds = time.perf_counter() - start
     return seconds, (code, *(s.getvalue().replace(workdir, "{w}") for s in (out, err)))
 
 
-def compare(rev: str, workload: str, seed: int, rounds: int = ROUNDS) -> dict:
+def compare(rev: str, workload: str, seed: int) -> dict:
     """{"ops": [(argv, rev median s, checkout median s)], "differ": [argv]}."""
     argvs, files = _ops(workload, seed)
     with tempfile.TemporaryDirectory() as tmp:
@@ -117,7 +121,7 @@ def compare(rev: str, workload: str, seed: int, rounds: int = ROUNDS) -> dict:
         try:
             times = [[[], []] for _ in argvs]
             differ = set()
-            for r in range(rounds):
+            for r in range(ROUNDS):
                 gc.collect()
                 for i, argv in enumerate(argvs):
                     outputs = [None, None]

@@ -143,8 +143,10 @@ class Feasibility:
 
     def check(self, i: int, t: int, budget: WorkBudget) -> bool:
         ok = self._settled(i, t)
-        if ok is not None:
-            return ok
+        return self._search(i, t, budget) if ok is None else ok
+
+    def _search(self, i: int, t: int, budget: WorkBudget) -> bool:
+        """check for an (i, t) that _settled leaves open."""
         coins, memo, settled = self.coins, self.memo, self._settled
         budget.spend()
         stack = [[i, t, t // coins[i]]]  # level, residual, next multiplicity
@@ -235,7 +237,7 @@ def _reduce_to_atoms(by_scaled: dict[int, Fraction]) -> list[int]:
             split = oracle._settled(k + 1, s)
             if split is None:
                 split = (not certificate.proves_atom(k)
-                         and oracle.check(k + 1, s, budget))
+                         and oracle._search(k + 1, s, budget))
             if split:
                 continue
         atoms.append(s)
