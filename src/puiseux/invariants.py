@@ -12,6 +12,54 @@ The stable/unstable machinery applies to primary monoids (one atom per
 prime): stable atoms share their numerator with infinitely many other
 family members, unstable ones do not, and elements split as stable +
 unstable parts with a uniquely factorable stable part.
+
+Elasticity scans (elasticity_set, elasticity_witnesses) of a primary
+truncation with k >= 2 atoms a_i = n_i/p_i (distinct primes p_i, p_i
+not dividing n_i) build no element table.  Three facts carry them:
+
+    Residue lemma.  Let c be a factorization of x, so x = sum c_j*a_j,
+    and let P be the product of the p_j.  Then x*P is an integer, and
+    modulo p_i every term c_j*n_j*P/p_j with j != i vanishes, so
+    c_i*n_i*P/p_i = x*P (mod p_i).  As n_i*P/p_i is prime to p_i, x
+    fixes the residue r_i of c_i mod p_i.  Writing c_i = r_i + p_i*t_i,
+    x = R + M with R = sum r_i*a_i and M = sum n_i*t_i, an integer that
+    every factorization of x shares; and each t >= 0 with
+    sum n_i*t_i = M gives back the factorization r + p*t of x.  So with
+    rho = sum r_i, x has lengths rho + sum p_i*t_i over those t: its
+    shortest is rho + m(M), its longest rho + X(M) and its count N(M),
+    where m, X and N are the min, max and count of sum p_i*t_i over
+    sum n_i*t_i = M.  As r is read off x, distinct (r, M) with
+    0 <= r_i < p_i and M in <n_1, ..., n_k> are distinct elements, and
+    every such R + M is one.
+
+    Greedy lemma.  For W >= 0 the rho attained by some r with
+    0 <= r_i < p_i and R <= W are 0, 1, ..., rhomax(W): lowering a
+    positive r_i by one keeps R <= W, and r uses rho of the items
+    (p_i - 1 copies of each a_i), which weigh at least the rho lightest
+    items, so rho is attained iff the rho lightest items weigh at most
+    W.  Taking the atoms ascending, each as often as fits up to p_i - 1
+    times, takes the lightest items in order and stops at the first
+    that does not fit: no copy of a later, larger atom fits either.
+    So the elasticities of the nonzero elements up to B are
+    (rho + X(M))/(rho + m(M)) for M <= B in <n_1, ..., n_k> and
+    0 <= rho <= rhomax(B - M), without rho = M = 0.  Any length l of
+    x has l*a_min <= x <= l*a_max, so its elasticity reaches
+    a_max/a_min only when x/a_min and x/a_max are lengths of x: then
+    one factorization uses a_min alone, so r_j = 0 for every j but
+    min, and another a_max alone, so r_min = 0.  Hence r = 0: the
+    witnesses are the integers M with X(M)/m(M) = a_max/a_min.
+
+    Volume bound.  The sweep takes one step per c >= 0 with
+    sum c_i*a_i <= B.  The unit cubes c + [0, 1)^k are disjoint and lie
+    in the simplex y >= 0, sum y_i*a_i <= B + sum a_i, of volume
+    U = (B + sum a)^k / (k! * prod a).  So when U is at most the
+    default sweep budget the sweep could not have raised, and the
+    integer table, whose combinations t are the sweep's c = p*t,
+    cannot raise either.
+
+Only under that bound do the scans take this path; for any other
+truncation, bound or budget they read the sweep, so every answer and
+every error is the sweep's.
 """
 
 from __future__ import annotations
@@ -24,7 +72,7 @@ from itertools import compress
 from .errors import (DomainError, InsufficientMetadataError, NotAMemberError,
                      SpecValidationError)
 from .monoid import (Feasibility, TruncatedMonoid, WorkBudget, _as_budget,
-                     is_primary, sweep)
+                     _coin_table, is_primary, sweep)
 from .factorization import FactorizationCounts, ResidueSteps
 from .primes import is_prime
 from .rationals import INFINITY, format_rational
@@ -106,10 +154,51 @@ def is_accepted(spec) -> bool | None:
     return meta.inf_attained and meta.sup_attained
 
 
+def _integer_table(tm: TruncatedMonoid, f: Fraction):
+    """The (m(M), X(M), N(M)) table of the module docstring for every
+    integer M <= f in <n_1, ..., n_k>, ascending, when tm is primary
+    with two or more atoms and f passes the volume bound; else None."""
+    k = len(tm.atoms)
+    if f < 0 or k < 2:
+        return None
+    budget = _as_budget()
+    most = budget.limit * math.factorial(k)
+    # U >= k^k/k! (sum a >= k*(prod a)^(1/k)), a cheap test for many atoms
+    if k ** k > most or not is_primary(tm).is_primary:
+        return None
+    if (f + sum(tm.atoms)) ** k > most * math.prod(tm.atoms):
+        return None
+    coins = sorted(((a.numerator, a.denominator) for a in tm.atoms), reverse=True)
+    return _coin_table(coins, math.floor(f), budget)
+
+
+def _rho_max(tm: TruncatedMonoid, room: int) -> int:
+    """rhomax of the module docstring for W = room/D, by the greedy
+    lemma."""
+    rho = 0
+    for s, a in zip(tm.scaled_gens, tm.atoms):
+        c = min(a.denominator - 1, room // s)
+        if not c:
+            break
+        rho += c
+        room -= c * s
+    return rho
+
+
 def elasticity_set(tm: TruncatedMonoid, bound) -> list[Fraction]:
     """Sorted distinct elasticities of the nonzero elements up to bound."""
-    pairs = {(lo, hi) for lo, hi, _n in sweep(tm, bound).values() if lo}
-    return sorted({Fraction(hi, lo) for lo, hi in pairs})
+    f = bound if isinstance(bound, Fraction) else Fraction(bound)
+    table = _integer_table(tm, f)
+    if table is None:
+        pairs = {(lo, hi) for lo, hi, _n in sweep(tm, f).values() if lo}
+        return sorted({Fraction(hi, lo) for lo, hi in pairs})
+    D = tm.denom_lcm
+    top = math.floor(f * D)
+    shortest = {}  # X - m -> the shortest lengths rho + m it takes
+    for M, (m, X, _n) in table.items():
+        rho = _rho_max(tm, top - M * D)
+        shortest.setdefault(X - m, set()).update(range(m or 1, m + rho + 1))
+    return sorted({Fraction(lo + d, lo) for d, los in shortest.items() for lo in los})
 
 
 def elasticity_witnesses(tm: TruncatedMonoid, bound) -> list[Fraction]:
@@ -120,8 +209,14 @@ def elasticity_witnesses(tm: TruncatedMonoid, bound) -> list[Fraction]:
     """
     rho = tm.max_atom / tm.min_atom
     num, den = rho.numerator, rho.denominator
-    out = [tm.unscale(v) for v, (lo, hi, _n) in sweep(tm, bound).items()
-           if lo and hi * den == lo * num]
+    f = bound if isinstance(bound, Fraction) else Fraction(bound)
+    table = _integer_table(tm, f)
+    if table is None:
+        out = [tm.unscale(v) for v, (lo, hi, _n) in sweep(tm, f).items()
+               if lo and hi * den == lo * num]
+    else:
+        out = [Fraction(M) for M, (m, X, _n) in table.items()
+               if M and X * den == m * num]
     for x in out:
         assert (x / tm.min_atom).denominator == 1, \
             f"witness {x} is not an integer multiple of the min atom"

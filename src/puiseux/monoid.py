@@ -35,7 +35,9 @@ table, grown one atom at a time, that holds the shortest and longest
 factorization length and the number of factorizations of every
 element up to the bound.  The table is keyed by the elements
 themselves, so it stays desk-scale even when D is astronomically
-large.
+large.  The same kernel, with a length per coin, builds the table of
+integers that the elasticity scans of primary truncations read
+instead (see invariants).
 """
 
 from __future__ import annotations
@@ -339,12 +341,21 @@ def sweep(tm: TruncatedMonoid, bound, budget=None) -> dict[int, tuple[int, int, 
     f = bound if isinstance(bound, Fraction) else Fraction(bound)
     if f < 0:
         raise DomainError("bound must be nonnegative")
-    budget = _as_budget(budget)
-    limit = math.floor(f * tm.denom_lcm)
+    coins = [(s, 1) for s in sorted(tm.scaled_gens, reverse=True)]
+    return _coin_table(coins, math.floor(f * tm.denom_lcm), _as_budget(budget))
+
+
+def _coin_table(coins, limit: int, budget: WorkBudget) -> dict[int, tuple[int, int, int]]:
+    """The table of sweep for (value, length) coins, largest value
+    first, up to the integer limit: the min and max length and the
+    number of combinations of every sum, where a combination's length
+    is the sum of its coins' lengths.  sweep gives every coin length
+    1; the elasticity scans of primary truncations weight the integer
+    part of an element by the atoms' primes (see invariants)."""
     table = {0: (0, 0, 1)}
     keys = [0]
     steps = 1  # the empty combination
-    for s in sorted(tm.scaled_gens, reverse=True):
+    for s, length in coins:
         if s > limit:
             continue
         grown = table.copy()
@@ -357,8 +368,8 @@ def sweep(tm: TruncatedMonoid, bound, budget=None) -> dict[int, tuple[int, int, 
                 budget.spend(steps)  # raises
             for _ in range(top):
                 v += s
-                lo += 1
-                hi += 1
+                lo += length
+                hi += length
                 old = grown.get(v)
                 if old is None:
                     grown[v] = (lo, hi, cnt)

@@ -4,12 +4,13 @@ import math
 import re
 from fractions import Fraction
 from itertools import count
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from puiseux import cli
+from puiseux import cli, monoid
 from puiseux.constructions import catalog
 from puiseux.errors import (DomainError, InsufficientMetadataError,
                             NotAMemberError, ResourceCapError)
@@ -18,14 +19,14 @@ from puiseux.invariants import (bf_ff_status, decompose_stable_unstable,
                                 density_witness, elasticity_set,
                                 elasticity_witnesses, is_accepted,
                                 monoid_elasticity, predicted_elasticities,
-                                shifted_lengths, StatusReport,
+                                shifted_lengths, StatusReport, _integer_table,
                                 _spec_is_primary, _stable_parts)
 from puiseux.monoid import (TruncatedMonoid, WorkBudget, contains,
                             from_generators, sweep, truncate)
 from puiseux.rationals import INFINITY
 from puiseux.specfile import parse_spec
 
-from oracles import brute_density_search, brute_factorizations
+from oracles import brute_density_search, brute_elements, brute_factorizations
 
 small_gens = st.lists(
     st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)),
@@ -147,6 +148,130 @@ class TestElasticitySet:
         rho = tm.max_atom / tm.min_atom
         values = elasticity_set(tm, Fraction(3))
         assert all(1 <= r <= rho for r in values)
+
+
+PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+@st.composite
+def primary_atoms(draw, max_size=6, max_numerator=40, primes=PRIMES_TO_31):
+    """1 to max_size atoms n/p over distinct primes p with p not
+    dividing n <= max_numerator; with distinct primes each is an atom."""
+    primes = draw(st.lists(st.sampled_from(primes), min_size=1,
+                           max_size=max_size, unique=True))
+    return [Fraction(draw(st.integers(1, max_numerator).filter(lambda n, p=p: n % p)), p)
+            for p in primes]
+
+
+def swept_set(tm, bound):
+    """elasticity_set read off the sweep: the reference for the residue
+    path."""
+    pairs = {(lo, hi) for lo, hi, _n in sweep(tm, bound).values() if lo}
+    return sorted({Fraction(hi, lo) for lo, hi in pairs})
+
+
+def swept_witnesses(tm, bound):
+    rho = tm.max_atom / tm.min_atom
+    return [tm.unscale(v) for v, (lo, hi, _n) in sweep(tm, bound).items()
+            if lo and hi * rho.denominator == lo * rho.numerator]
+
+
+def outcome(scan, tm, bound):
+    """scan's answer, or the class and text of the error it raised."""
+    try:
+        return scan(tm, bound)
+    except (DomainError, ResourceCapError) as exc:
+        return type(exc), str(exc)
+
+
+# the monoid 1/2, 1/3 swept up to B has U = 3*(B + 5/6)^2, which is
+# this budget exactly at B = 355/6; the sweep then takes 10,680 steps
+HALF_THIRD = [Fraction(1, 2), Fraction(1, 3)]
+AT_VOLUME_BOUND = Fraction(355, 6)
+VOLUME_BUDGET = 10_800
+
+
+class TestPrimaryScans:
+    """The residue-table path of elasticity_set and elasticity_witnesses
+    against the sweep, which the other truncations still read."""
+
+    @given(primary_atoms(), st.builds(Fraction, st.integers(0, 40), st.integers(1, 4)))
+    @example([Fraction(3, 7)], Fraction(5))  # a single atom
+    @example([Fraction(1, 2), Fraction(2, 3)], Fraction(1, 3))  # below the atoms
+    @example(HALF_THIRD, AT_VOLUME_BOUND + Fraction(1, 600))  # U just over
+    @settings(max_examples=150, deadline=None)
+    def test_same_answer_as_the_sweep(self, atoms, bound):
+        # a small default budget keeps the sweeps short; the path
+        # taken may then raise, and both paths must raise alike
+        tm = from_generators(atoms)
+        with patch.object(monoid, "_DEFAULT_BUDGET", VOLUME_BUDGET):
+            assert outcome(elasticity_set, tm, bound) == outcome(swept_set, tm, bound)
+            assert (outcome(elasticity_witnesses, tm, bound)
+                    == outcome(swept_witnesses, tm, bound))
+
+    @given(primary_atoms(max_size=3, max_numerator=4, primes=(2, 3, 5)),
+           st.builds(Fraction, st.integers(0, 4), st.integers(1, 2)))
+    @settings(max_examples=40, deadline=None)
+    def test_tiny_sets_against_brute_factorizations(self, atoms, bound):
+        tm = from_generators(atoms)
+        ratios = {}
+        for x in brute_elements(tm.atoms, bound)[1:]:
+            lengths = [sum(z) for z in brute_factorizations(tm.atoms, x)]
+            ratios[x] = Fraction(max(lengths), min(lengths))
+        assert elasticity_set(tm, bound) == sorted(set(ratios.values()))
+        rho = tm.max_atom / tm.min_atom
+        assert elasticity_witnesses(tm, bound) == [x for x, r in ratios.items()
+                                                   if r == rho]
+
+    def test_which_inputs_take_the_residue_table(self):
+        tm = from_generators(HALF_THIRD)
+        with patch.object(monoid, "_DEFAULT_BUDGET", VOLUME_BUDGET):
+            assert _integer_table(tm, AT_VOLUME_BOUND) is not None
+            assert _integer_table(tm, AT_VOLUME_BOUND + Fraction(1, 600)) is None
+            assert _integer_table(tm, Fraction(-1)) is None
+        assert _integer_table(from_generators([Fraction(3, 7)]), Fraction(5)) is None
+        not_primary = from_generators([Fraction(1, 2), Fraction(1, 4)])
+        assert _integer_table(not_primary, Fraction(1)) is None
+        assert _integer_table(tm, Fraction(1, 4)) == {0: (0, 0, 1)}
+
+
+class TestScanBudgetParity:
+    """Under a small default budget the residue table answers exactly
+    when the volume bound admits the input; otherwise the sweep answers
+    or raises, as before."""
+
+    def _both(self, bound):
+        tm = from_generators(HALF_THIRD)
+        for scan, swept in ((elasticity_set, swept_set),
+                            (elasticity_witnesses, swept_witnesses)):
+            assert outcome(scan, tm, bound) == outcome(swept, tm, bound)
+        return outcome(elasticity_witnesses, tm, bound)
+
+    def test_guard_declines_and_the_sweep_raises(self, monkeypatch):
+        monkeypatch.setattr(monoid, "_DEFAULT_BUDGET", 100)
+        assert self._both(AT_VOLUME_BOUND) == (
+            ResourceCapError, "enumeration exceeded its work budget of 100 steps")
+
+    def test_guard_declines_and_the_sweep_answers(self, monkeypatch):
+        monkeypatch.setattr(monoid, "_DEFAULT_BUDGET", VOLUME_BUDGET)
+        bound = AT_VOLUME_BOUND + Fraction(1, 600)
+        assert _integer_table(from_generators(HALF_THIRD), bound) is None
+        assert self._both(bound) == list(range(1, 60))
+
+    def test_guard_accepts(self, monkeypatch):
+        monkeypatch.setattr(monoid, "_DEFAULT_BUDGET", VOLUME_BUDGET)
+        assert _integer_table(from_generators(HALF_THIRD), AT_VOLUME_BOUND) is not None
+        assert self._both(AT_VOLUME_BOUND) == list(range(1, 60))
+
+    def test_negative_bound_keeps_its_error(self, capsys):
+        # the library raises the sweep's DomainError; the CLI rejects a
+        # negative --bound before anything is swept
+        assert self._both(Fraction(-1)) == (DomainError, "bound must be nonnegative")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["rset", "--spec", "x.json", "--bound", "-1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "argument --bound: malformed rational literal '-1'\n")
 
 
 class TestDecompose:
