@@ -161,12 +161,10 @@ def _integer_table(tm: TruncatedMonoid, f: Fraction):
     k = len(tm.atoms)
     if f < 0 or k < 2:
         return None
-    budget = _as_budget()
-    most = budget.limit * math.factorial(k)
-    # U >= k^k/k! (sum a >= k*(prod a)^(1/k)), a cheap test for many atoms
-    if k ** k > most or not is_primary(tm).is_primary:
+    if not is_primary(tm).is_primary:
         return None
-    if (f + sum(tm.atoms)) ** k > most * math.prod(tm.atoms):
+    budget = _as_budget()
+    if (f + sum(tm.atoms)) ** k > budget.limit * math.factorial(k) * math.prod(tm.atoms):
         return None
     coins = sorted(((a.numerator, a.denominator) for a in tm.atoms), reverse=True)
     return _coin_table(coins, math.floor(f), budget)
@@ -191,14 +189,12 @@ def elasticity_set(tm: TruncatedMonoid, bound) -> list[Fraction]:
     table = _integer_table(tm, f)
     if table is None:
         pairs = {(lo, hi) for lo, hi, _n in sweep(tm, f).values() if lo}
-        return sorted({Fraction(hi, lo) for lo, hi in pairs})
-    D = tm.denom_lcm
-    top = math.floor(f * D)
-    shortest = {}  # X - m -> the shortest lengths rho + m it takes
-    for M, (m, X, _n) in table.items():
-        rho = _rho_max(tm, top - M * D)
-        shortest.setdefault(X - m, set()).update(range(m or 1, m + rho + 1))
-    return sorted({Fraction(lo + d, lo) for d, los in shortest.items() for lo in los})
+    else:
+        D = tm.denom_lcm
+        top = math.floor(f * D)
+        pairs = {(lo, lo + X - m) for M, (m, X, _n) in table.items()
+                 for lo in range(m or 1, m + _rho_max(tm, top - M * D) + 1)}
+    return sorted({Fraction(hi, lo) for lo, hi in pairs})
 
 
 def elasticity_witnesses(tm: TruncatedMonoid, bound) -> list[Fraction]:
