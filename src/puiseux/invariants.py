@@ -464,7 +464,7 @@ def _spec_is_primary(spec) -> tuple[bool, str]:
     used by exactly one generator.  Exact for this filter algebra, with
     numerator positivity/coprimality sample-checked on a prefix."""
     finite_sets = []   # (list of primes) for explicit + bounded families
-    unbounded = []     # symbolic families with open ranges
+    unbounded = []     # (family, its first prime): symbolic, open ranges
     for fam in spec.families:
         if fam.kind == "explicit":
             primes = []
@@ -482,16 +482,16 @@ def _spec_is_primary(spec) -> tuple[bool, str]:
             finite_sets.append([p for _, p, _ in triples])
         else:
             try:
-                fam.instantiate(_PRIMARY_SAMPLE)
+                triples = fam.instantiate(_PRIMARY_SAMPLE)
             except SpecValidationError as exc:
                 return False, str(exc)
-            unbounded.append(fam)
+            unbounded.append((fam, triples[0][1]))
     # unbounded families pairwise: admitted prime sets are cofinite in the
     # primes, so two open families only avoid collision when they share a
     # filter and use disjoint index ranges
     for i in range(len(unbounded)):
         for j in range(i + 1, len(unbounded)):
-            f1, f2 = unbounded[i], unbounded[j]
+            f1, f2 = unbounded[i][0], unbounded[j][0]
             if f1.prime_filter != f2.prime_filter:
                 return False, "two open families draw from overlapping prime pools"
             if not (f1.index_end is not None and f1.index_end < f2.index_start
@@ -502,10 +502,9 @@ def _spec_is_primary(spec) -> tuple[bool, str]:
         return False, "a prime carries two generators"
     # every p here is prime, so an open family uses it exactly when its
     # filter admits p and p is at or past the family's first prime
-    firsts = [(f.prime_filter, f.prime_filter.nth(f.index_start)) for f in unbounded]
     for p in flat:
-        for filt, first in firsts:
-            if filt.admits(p) and p >= first:
+        for fam, first in unbounded:
+            if fam.prime_filter.admits(p) and p >= first:
                 return False, f"prime {p} carries two generators"
     return True, "one generator per prime, all denominators prime"
 

@@ -31,9 +31,9 @@ L is read off prefix and suffix lcms over the distinct denominators,
 built once, on the first query that asks; nothing is factored.
 
 Everything below a bound comes from one sweep: a sparse coin-change
-table, grown one atom at a time, that holds the shortest and longest
-factorization length and the number of factorizations of every
-element up to the bound.  The table is keyed by the elements
+table, grown in place one atom at a time, that holds the shortest and
+longest factorization length and the number of factorizations of
+every element up to the bound.  The table is keyed by the elements
 themselves, so it stays desk-scale even when D is astronomically
 large.  The same kernel, with a length per coin, builds the table of
 integers that the elasticity scans of primary truncations read
@@ -330,13 +330,21 @@ def sweep(tm: TruncatedMonoid, bound, budget=None) -> dict[int, tuple[int, int, 
     maps to (0, 0, 1).
 
     The length recurrence L(x) = union over atoms a of (L(x - a) + 1)
-    (Barron, O'Neill and Pelayo, Math. Comp. 2017) is run as a
-    coin-change table, one coin at a time, largest first: each coin s
-    extends a copy of the table by every multiple of s that stays
-    within the bound.  One budget step is one multiplicity combination
-    of value <= bound, as if every combination were listed; the budget
-    is charged before a table entry is extended, so no table outgrows
-    it.
+    (Barron, O'Neill and Pelayo, Math. Comp. 2017) runs as a
+    coin-change table grown in place, one coin s at a time, largest
+    first: new(w) = old(w) (+) (new(w - s) + length), (+) taking the
+    min and max lengths and the sum of the counts.  Skip rule: each old
+    key v <= limit - s, ascending, starts a chain up its residue class
+    to the limit, unless v - s is a key by then, and so on a chain (a
+    new key was written by one; an old one came first and started one
+    or lay on one), which has run on past v.  So a class has one chain
+    at most, starting at a v with v - s in neither table, where
+    new(v) = old(v).  Carry rule: the chain carries new(w - s); at each
+    w it shifts the carry, folds in the untouched old(w) and writes the
+    result back as new(w).  One budget step is one multiplicity
+    combination of value <= bound; each coin is charged, before it
+    touches the table, each old entry's count times the multiples of s
+    that fit above it, so no table outgrows the budget.
     """
     f = bound if isinstance(bound, Fraction) else Fraction(bound)
     if f < 0:
@@ -354,33 +362,25 @@ def _coin_table(coins, limit: int, budget: WorkBudget) -> dict[int, tuple[int, i
     part of an element by the atoms' primes (see invariants)."""
     table = {0: (0, 0, 1)}
     keys = [0]
-    steps = 1  # the empty combination
+    budget.spend(1)  # the empty combination
     for s, length in coins:
-        if s > limit:
-            continue
-        grown = table.copy()
-        fresh = []
-        for v in keys[:bisect_right(keys, limit - s)]:
+        sources = keys[:bisect_right(keys, limit - s)]
+        budget.spend(sum(table[v][2] * ((limit - v) // s) for v in sources))
+        for v in sources:
+            if v - s in table:
+                continue  # the chain through v - s has passed v
             lo, hi, cnt = table[v]
-            top = (limit - v) // s
-            steps += cnt * top
-            if steps > budget.left:
-                budget.spend(steps)  # raises
-            for _ in range(top):
-                v += s
+            for w in range(v + s, limit + 1, s):
                 lo += length
                 hi += length
-                old = grown.get(v)
+                old = table.get(w)
                 if old is None:
-                    grown[v] = (lo, hi, cnt)
-                    fresh.append(v)
+                    keys.append(w)
                 else:
                     a, b, n = old
-                    grown[v] = (a if a < lo else lo, b if b > hi else hi, n + cnt)
-        table = grown
-        keys += fresh
-        keys.sort()  # merges the sorted runs
-    budget.spend(steps)
+                    lo, hi, cnt = (a if a < lo else lo, b if b > hi else hi, n + cnt)
+                table[w] = (lo, hi, cnt)
+        keys.sort()
     return {v: table[v] for v in keys}
 
 

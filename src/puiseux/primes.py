@@ -198,17 +198,17 @@ class PrimeFilter:
         """1-indexed n-th admitted prime."""
         if n < 1:
             raise DomainError(f"prime index must be >= 1, got {n}")
-        return prime_seq(self, n)[-1]
+        return prime_seq(self, n, n - 1)[0]
 
 
-def prime_seq(filt, count: int) -> list[int]:
-    """First count primes admitted by the filter, in increasing order."""
+def prime_seq(filt, count: int, skip: int = 0) -> list[int]:
+    """The first count admitted primes, less the first skip, ascending."""
     f = PrimeFilter.parse(filt)
-    if count < 0:
-        raise DomainError("count must be nonnegative")
+    if count < 0 or skip < 0:
+        raise DomainError("count and skip must be nonnegative")
     if count > sys.maxsize:
         raise DomainError(f"cannot list {count} primes: the count is past {sys.maxsize}")
-    return list(islice(filter(f.admits, _primes_from(f.min_bound)), count))
+    return list(islice(filter(f.admits, _primes_from(f.min_bound)), skip, count))
 
 
 def next_prime_at_least(n: int) -> int:

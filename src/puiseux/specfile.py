@@ -268,7 +268,7 @@ class GeneratorFamily:
         out = []
         if not idx:
             return out
-        primes = prime_seq(self.prime_filter, idx.stop - 1)[idx.start - 1:]
+        primes = prime_seq(self.prime_filter, idx.stop - 1, idx.start - 1)
         for n, p, a in zip(idx, primes, self.numerator.values(idx, primes)):
             if a <= 0:
                 raise SpecValidationError(

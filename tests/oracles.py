@@ -52,6 +52,28 @@ def brute_elements(generators, bound):
     return sorted(seen)
 
 
+def brute_coin_table(coins, limit):
+    """{sum: (min length, max length, number of combinations)} over
+    every multiplicity combination of the (value, length) coins whose
+    sum is at most limit, empty combination included, by plain nested
+    enumeration; coins of equal value count as distinct coins."""
+    table = {}
+
+    def rec(i, total, length):
+        if i == len(coins):
+            lo, hi, n = table.get(total, (length, length, 0))
+            table[total] = (min(lo, length), max(hi, length), n + 1)
+            return
+        value, weight = coins[i]
+        m = 0
+        while total + m * value <= limit:
+            rec(i + 1, total + m * value, length + m * weight)
+            m += 1
+
+    rec(0, 0, 0)
+    return table
+
+
 def brute_atoms(generators):
     """Generators admitting no representation of total multiplicity >= 2."""
     gens = sorted(set(Fraction(g) for g in generators))

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_atoms, brute_elements, brute_factorizations
+from oracles import (brute_atoms, brute_coin_table, brute_elements,
+                     brute_factorizations)
 from puiseux.constructions import catalog
 from puiseux.errors import (DomainError, ResourceCapError, SpecValidationError)
 from puiseux.monoid import (TruncatedMonoid, WorkBudget, _DenominatorCertificate,
-                            classify_stability, contains, elements_up_to,
-                            from_generators, is_primary, sweep, truncate)
+                            _coin_table, classify_stability, contains,
+                            elements_up_to, from_generators, is_primary, sweep,
+                            truncate)
 from puiseux.specfile import parse_spec
 
 small_gens = st.lists(
@@ -216,6 +218,23 @@ class TestSweep:
         budget = WorkBudget(600_000)
         sweep(tm, tm.min_atom.numerator * tm.max_atom.numerator, budget)
         assert budget.left == left
+
+    # lengths other than 1, as the integer tables of the primary scans
+    # use, and coins of equal value, as atoms of equal numerator give
+    @given(st.lists(st.tuples(st.integers(1, 9), st.integers(1, 7)),
+                    min_size=1, max_size=4),
+           st.integers(0, 30))
+    @settings(max_examples=150, deadline=None)
+    def test_weighted_coins_against_brute_table(self, coins, limit):
+        coins = sorted(coins, reverse=True)
+        expected = brute_coin_table(coins, limit)
+        combinations = sum(n for _lo, _hi, n in expected.values())
+        budget = WorkBudget(10 ** 6)
+        table = _coin_table(coins, limit, budget)
+        assert table == expected and list(table) == sorted(expected)
+        assert budget.left == 10 ** 6 - combinations
+        with pytest.raises(ResourceCapError):
+            _coin_table(coins, limit, WorkBudget(combinations - 1))
 
 
 class TestTruncate:

@@ -9,6 +9,7 @@ from oracles import first_primes, primes_at_least, sieve
 from puiseux import primes
 from puiseux.errors import DomainError, SpecValidationError
 from puiseux.primes import PrimeFilter, is_prime, next_prime_at_least, prime_seq
+from puiseux.specfile import GeneratorFamily, NumeratorExpr
 
 
 class TestIsPrime:
@@ -146,6 +147,22 @@ class TestPrimeTable:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+    def test_large_index_start_keeps_memory_flat(self):
+        # the primes before index 200,000 are passed over, not listed
+        fam = GeneratorFamily("symbolic", numerator=NumeratorExpr.parse("1"),
+                              index_start=200_000)
+        tracemalloc.start()
+        try:
+            triples = fam.instantiate(2)
+            nth = PrimeFilter("all").nth(200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        expected = sieve(2_750_161)[-2:]
+        assert [p for _n, p, _v in triples] == expected
+        assert nth == expected[0]
 
     def test_nth_rejects_index_zero(self):
         with pytest.raises(DomainError):
