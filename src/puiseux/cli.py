@@ -34,8 +34,8 @@ from .errors import DomainError, PuiseuxError, ResourceCapError
 from .factorization import default_cap, element_elasticity, factorizations, length_set
 from .invariants import (bf_ff_status, decompose_stable_unstable, density_witness,
                          elasticity_set, elasticity_witnesses, monoid_elasticity,
-                         shifted_lengths)
-from .monoid import classify_stability, contains, sweep, truncate
+                         plot_points, shifted_lengths)
+from .monoid import classify_stability, contains, truncate
 from .rationals import INFINITY, format_rational, parse_rational
 from .specfile import NumeratorExpr, load_spec, spec_to_json
 
@@ -248,46 +248,26 @@ def _cmd_verify_bifurcus(args) -> int:
                  code=0 if report.passed else 1)
 
 
-def _plot_marker(tm, v: int, table: dict) -> str:
-    D = tm.denom_lcm
-    if v % D == 0:
-        return "integer-element"
-    for s in tm.scaled_gens:
-        r = v - s
-        if r > 0 and r % D == 0 and r in table:
-            return "shifted-element"
-    return "other"
-
-
 def _cmd_plot(args) -> int:
     tm = _load_tm(args)
     rows = ["element,elasticity,marker" + (",approx" if args.decimal else "")]
     try:
-        table = sweep(tm, args.bound)
+        # PUISEUX_CAP is read only once a nonzero element is checked
+        points, capped = plot_points(tm, args.bound, lambda: args.cap or default_cap(),
+                                     args.all)
     except ResourceCapError:
         rows.append("capped,,element enumeration exhausted the work budget")
         return _show(args, None, rows, code=1)
-    cap = args.cap  # PUISEUX_CAP is read only once a nonzero element is checked
-    capped_at = None
-    for v, (lo, hi, count) in table.items():
-        if v == 0:
-            continue
-        if cap is None:
-            cap = default_cap()
-        if count > cap:
-            capped_at = tm.unscale(v)
-            break
-        if lo == hi and not args.all:
-            continue
+    for v, lo, hi, marker in points:
         rho = Fraction(hi, lo)
-        row = (f"{format_rational(tm.unscale(v))},{format_rational(rho)},"
-               f"{_plot_marker(tm, v, table)}")
+        row = f"{format_rational(tm.unscale(v))},{format_rational(rho)},{marker}"
         if args.decimal:
             row += f",{float(rho)!r}"
         rows.append(row)
-    if capped_at is not None:
-        rows.append(f"capped,{format_rational(capped_at)},factorization cap exceeded")
-    return _show(args, None, rows, code=0 if capped_at is None else 1)
+    if capped is not None:
+        rows.append(f"capped,{format_rational(tm.unscale(capped))},"
+                    "factorization cap exceeded")
+    return _show(args, None, rows, code=0 if capped is None else 1)
 
 
 def _cmd_catalog(args) -> int:
@@ -461,6 +441,9 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory; try a smaller depth, bound or cap",
               file=sys.stderr)
+        return 1
+    except OverflowError as exc:  # a length mask past sys.maxsize bits
+        print(f"error: a value is too large to compute with ({exc})", file=sys.stderr)
         return 1
 
 

@@ -13,58 +13,83 @@ prime): stable atoms share their numerator with infinitely many other
 family members, unstable ones do not, and elements split as stable +
 unstable parts with a uniquely factorable stable part.
 
-Elasticity scans (elasticity_set, elasticity_witnesses) of a primary
-truncation with k >= 2 atoms a_i = n_i/p_i (distinct primes p_i, p_i
-not dividing n_i) build no element table.  Three facts carry them:
+Elasticity scans (elasticity_set, elasticity_witnesses) and plot
+(plot_points) of a truncation with k >= 2 atoms a_i = n_i/d_i, in
+lowest terms, mostly build no element table.  Let L_i be the lcm of
+the other atoms' denominators, r_i = d_i/gcd(d_i, L_i),
+g_i = d_i/r_i, D' = lcm g_i and D the lcm of all d_i.  Primary truncations (d_i = p_i distinct primes)
+and pairwise coprime denominators have r_i = d_i and D' = 1.
 
-    Residue lemma.  Let c be a factorization of x, so x = sum c_j*a_j,
-    and let P be the product of the p_j.  Then x*P is an integer, and
-    modulo p_i every term c_j*n_j*P/p_j with j != i vanishes, so
-    c_i*n_i*P/p_i = x*P (mod p_i).  As n_i*P/p_i is prime to p_i, x
-    fixes the residue r_i of c_i mod p_i.  Writing c_i = r_i + p_i*t_i,
-    x = R + M with R = sum r_i*a_i and M = sum n_i*t_i, an integer that
-    every factorization of x shares; and each t >= 0 with
-    sum n_i*t_i = M gives back the factorization r + p*t of x.  So with
-    rho = sum r_i, x has lengths rho + sum p_i*t_i over those t: its
-    shortest is rho + m(M), its longest rho + X(M) and its count N(M),
-    where m, X and N are the min, max and count of sum p_i*t_i over
-    sum n_i*t_i = M.  As r is read off x, distinct (r, M) with
-    0 <= r_i < p_i and M in <n_1, ..., n_k> are distinct elements, and
-    every such R + M is one.
+    Residue lemma.  Let c be a factorization of x, so x = sum c_j*a_j.
+    Each d_j with j != i divides L_i, so x*L_i = c_i*n_i*(L_i/g_i)/r_i
+    modulo the integers.  A prime q dividing r_i has
+    v_q(d_i) > v_q(L_i), so v_q(g_i) = v_q(L_i) and q divides neither
+    L_i/g_i nor n_i: n_i*L_i/g_i is prime to r_i, and x fixes the
+    residue rho_i of c_i mod r_i.  Writing c_i = rho_i + r_i*t_i,
+    x = R + M with R = sum rho_i*a_i and M = sum t_i*r_i*a_i
+    = sum t_i*n_i/g_i, which every factorization of x shares; and each
+    t >= 0 with that sum M gives back the factorization rho + r*t of
+    x.  So with |rho| = sum rho_i, x has lengths |rho| + sum r_i*t_i
+    over those t: its shortest is |rho| + m(M), its longest
+    |rho| + X(M) and its count N(M), where m, X and N are the min, max
+    and count of sum r_i*t_i over sum t_i*n_i*D'/g_i = M*D', the table
+    of the coins n_i*D'/g_i of length r_i.  As rho is read off x,
+    distinct (rho, M) with 0 <= rho_i < r_i and M in <n_i/g_i> are
+    distinct elements, and every such R + M is one.
 
-    Greedy lemma.  For W >= 0 the rho attained by some r with
-    0 <= r_i < p_i and R <= W are 0, 1, ..., rhomax(W): lowering a
-    positive r_i by one keeps R <= W, and r uses rho of the items
-    (p_i - 1 copies of each a_i), which weigh at least the rho lightest
-    items, so rho is attained iff the rho lightest items weigh at most
-    W.  Taking the atoms ascending, each as often as fits up to p_i - 1
-    times, takes the lightest items in order and stops at the first
-    that does not fit: no copy of a later, larger atom fits either.
-    So the elasticities of the nonzero elements up to B are
-    (rho + X(M))/(rho + m(M)) for M <= B in <n_1, ..., n_k> and
-    0 <= rho <= rhomax(B - M), without rho = M = 0.  Any length l of
-    x has l*a_min <= x <= l*a_max, so its elasticity reaches
+    Greedy lemma.  For W >= 0 the |rho| attained by some rho with
+    0 <= rho_i < r_i and R <= W are 0, 1, ..., rhomax(W): lowering a
+    positive rho_i by one keeps R <= W, and rho uses |rho| of the items
+    (r_i - 1 copies of each a_i), which weigh at least the |rho|
+    lightest items, so |rho| is attained iff the |rho| lightest items
+    weigh at most W.  Taking the atoms ascending, each as often as fits
+    up to r_i - 1 times, takes the lightest items in order.  An atom
+    with r_i = 1 has no item and is passed over; the walk ends at the
+    first atom of which no copy fits, as no copy of a later, larger
+    atom fits either.  So the elasticities of the nonzero elements up
+    to B are (|rho| + X(M))/(|rho| + m(M)) for M <= B in <n_i/g_i> and
+    0 <= |rho| <= rhomax(B - M), without |rho| = M = 0.  Any length l
+    of x has l*a_min <= x <= l*a_max, so its elasticity reaches
     a_max/a_min only when x/a_min and x/a_max are lengths of x: then
-    one factorization uses a_min alone, so r_j = 0 for every j but
-    min, and another a_max alone, so r_min = 0.  Hence r = 0: the
-    witnesses are the integers M with X(M)/m(M) = a_max/a_min.
+    one factorization uses a_min alone, so rho_j = 0 for every j but
+    min, and another a_max alone, so rho_min = 0.  Hence rho = 0: the
+    witnesses are the M with X(M)/m(M) = a_max/a_min.
 
     Volume bound.  The sweep takes one step per c >= 0 with
     sum c_i*a_i <= B.  The unit cubes c + [0, 1)^k are disjoint and lie
     in the simplex y >= 0, sum y_i*a_i <= B + sum a_i, of volume
     U = (B + sum a)^k / (k! * prod a).  So when U is at most the
     default sweep budget the sweep could not have raised, and the
-    integer table, whose combinations t are the sweep's c = p*t,
+    integer table, whose combinations t are the sweep's c = r*t,
     cannot raise either.
 
-Only under that bound do the scans take this path; for any other
-truncation, bound or budget they read the sweep, so every answer and
-every error is the sweep's.
+    Plot lemmas.  Let D' = 1 and every r_i >= 2, so M is an integer
+    and d_i = r_i.  Rows: plot lists the x with two lengths or more,
+    that is, the (rho, M) with X(M) != m(M), from |rho| + m(M) to
+    |rho| + X(M); M = 0 has the one length 0, so M > 0 on every row.
+    Cap: x has N(M) factorizations.  With M* the least M with
+    N(M) > cap, the element M* (rho = 0) is over the cap, and any
+    x = R + M with N(M) > cap is at least M >= M*: M* is the first
+    element over the cap, and the rows are the x < M*.  Markers: as
+    the gcd of the L_i is 1, a rational y of denominator dividing D is
+    an integer iff every y*L_i is.  By the residue lemma,
+    (x - a_j)*L_i is (c_i - [i = j])*n_i*L_i/d_i modulo the integers,
+    so x - a_j is an integer iff rho_i = [i = j] mod d_i for every i,
+    iff rho = e_j, as d_j >= 2.  Then x - a_j = M, a positive element.
+    Likewise x is an integer iff rho = 0.  So integer-element is
+    |rho| = 0, shifted-element is |rho| = 1, and other the rest.
+
+Only under the volume bound, and when some r_i > 1 (else the table is
+the sweep's), do the scans take this path, and plot only within the
+scope of its lemmas and without --all; for any other truncation, bound
+or budget they read the sweep, so every answer and every error is the
+sweep's.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -72,7 +97,7 @@ from itertools import compress
 from .errors import (DomainError, InsufficientMetadataError, NotAMemberError,
                      SpecValidationError)
 from .monoid import (Feasibility, TruncatedMonoid, WorkBudget, _as_budget,
-                     _coin_table, is_primary, sweep)
+                     _coin_table, _lcm_but_one, is_primary, sweep)
 from .factorization import FactorizationCounts, ResidueSteps
 from .primes import is_prime
 from .rationals import INFINITY, format_rational
@@ -154,30 +179,40 @@ def is_accepted(spec) -> bool | None:
     return meta.inf_attained and meta.sup_attained
 
 
-def _integer_table(tm: TruncatedMonoid, f: Fraction):
-    """The (m(M), X(M), N(M)) table of the module docstring for every
-    integer M <= f in <n_1, ..., n_k>, ascending, when tm is primary
-    with two or more atoms and f passes the volume bound; else None."""
+def _integer_table(tm: TruncatedMonoid, f: Fraction, for_plot: bool = False):
+    """(r, D', table): the moduli r_i, parallel to tm.atoms, the scale
+    D' and the (m(M), X(M), N(M)) table of the module docstring, keyed
+    by M*D' for every M <= f in <r_i*a_i>, ascending, when tm has two
+    or more atoms, some r_i > 1 and f passes the volume bound; else
+    None.  for_plot also asks for the scope of the plot lemmas: D' = 1
+    and every r_i > 1."""
     k = len(tm.atoms)
     if f < 0 or k < 2:
         return None
-    if not is_primary(tm).is_primary:
+    dens = [a.denominator for a in tm.atoms]
+    r = [d // math.gcd(d, L) for d, L in zip(dens, _lcm_but_one(dens))]
+    Dp = math.lcm(*(d // m for d, m in zip(dens, r)))
+    if max(r) == 1 or for_plot and (Dp > 1 or min(r) == 1):
         return None
-    budget = _as_budget()
-    if (f + sum(tm.atoms)) ** k > budget.limit * math.factorial(k) * math.prod(tm.atoms):
+    # U <= the budget, on integers: f = p/q, and a_i = s_i/D for the
+    # scaled atoms s_i, so D^k cancels
+    budget, p, q = _as_budget(), f.numerator, f.denominator
+    if ((p * tm.denom_lcm + sum(tm.scaled_gens) * q) ** k
+            > budget.limit * math.factorial(k) * math.prod(tm.scaled_gens) * q ** k):
         return None
-    coins = sorted(((a.numerator, a.denominator) for a in tm.atoms), reverse=True)
-    return _coin_table(coins, math.floor(f), budget)
+    coins = sorted(((a.numerator * Dp // (a.denominator // m), m)
+                    for a, m in zip(tm.atoms, r)), reverse=True)
+    return r, Dp, _coin_table(coins, math.floor(f * Dp), budget)
 
 
-def _rho_max(tm: TruncatedMonoid, room: int) -> int:
+def _rho_max(tm: TruncatedMonoid, r: list[int], room: int) -> int:
     """rhomax of the module docstring for W = room/D, by the greedy
-    lemma."""
+    lemma; an atom with r_i = 1 has no item to give."""
     rho = 0
-    for s, a in zip(tm.scaled_gens, tm.atoms):
-        c = min(a.denominator - 1, room // s)
-        if not c:
+    for s, m in zip(tm.scaled_gens, r):
+        if room < s:
             break
+        c = min(m - 1, room // s)
         rho += c
         room -= c * s
     return rho
@@ -186,14 +221,14 @@ def _rho_max(tm: TruncatedMonoid, room: int) -> int:
 def elasticity_set(tm: TruncatedMonoid, bound) -> list[Fraction]:
     """Sorted distinct elasticities of the nonzero elements up to bound."""
     f = bound if isinstance(bound, Fraction) else Fraction(bound)
-    table = _integer_table(tm, f)
-    if table is None:
+    found = _integer_table(tm, f)
+    if found is None:
         pairs = {(lo, hi) for lo, hi, _n in sweep(tm, f).values() if lo}
     else:
-        D = tm.denom_lcm
-        top = math.floor(f * D)
+        r, Dp, table = found
+        q, top = tm.denom_lcm // Dp, math.floor(f * tm.denom_lcm)
         pairs = {(lo, lo + X - m) for M, (m, X, _n) in table.items()
-                 for lo in range(m or 1, m + _rho_max(tm, top - M * D) + 1)}
+                 for lo in range(m or 1, m + _rho_max(tm, r, top - M * q) + 1)}
     return sorted({Fraction(hi, lo) for lo, hi in pairs})
 
 
@@ -206,12 +241,13 @@ def elasticity_witnesses(tm: TruncatedMonoid, bound) -> list[Fraction]:
     rho = tm.max_atom / tm.min_atom
     num, den = rho.numerator, rho.denominator
     f = bound if isinstance(bound, Fraction) else Fraction(bound)
-    table = _integer_table(tm, f)
-    if table is None:
+    found = _integer_table(tm, f)
+    if found is None:
         out = [tm.unscale(v) for v, (lo, hi, _n) in sweep(tm, f).items()
                if lo and hi * den == lo * num]
     else:
-        out = [Fraction(M) for M, (m, X, _n) in table.items()
+        _r, Dp, table = found
+        out = [Fraction(M, Dp) for M, (m, X, _n) in table.items()
                if M and X * den == m * num]
     for x in out:
         assert (x / tm.min_atom).denominator == 1, \
@@ -219,6 +255,68 @@ def elasticity_witnesses(tm: TruncatedMonoid, bound) -> list[Fraction]:
         assert (x / tm.max_atom).denominator == 1, \
             f"witness {x} is not an integer multiple of the max atom"
     return out
+
+
+def _swept_marker(tm: TruncatedMonoid, v: int, table: dict) -> str:
+    D = tm.denom_lcm
+    if v % D == 0:
+        return "integer-element"
+    for s in tm.scaled_gens:
+        r = v - s
+        if r > 0 and r % D == 0 and r in table:
+            return "shifted-element"
+    return "other"
+
+
+def plot_points(tm: TruncatedMonoid, bound, cap, every: bool = False):
+    """The points of plot: (x*D, shortest length, longest length,
+    marker) of every nonzero element x <= bound with two lengths or
+    more (every one with every), ascending, up to the first element
+    with more than cap() factorizations, and that element scaled, or
+    None.  cap() >= 1 is called once, at the first nonzero element.
+    The marker is integer-element, shifted-element (x - a is a nonzero
+    integer in the monoid for an atom a) or other.
+
+    Within the scope of the plot lemmas (module docstring), and
+    without every, the points come from the residue table; otherwise
+    from the sweep, whose budget error they raise."""
+    f = bound if isinstance(bound, Fraction) else Fraction(bound)
+    found = None if every else _integer_table(tm, f, for_plot=True)
+    if found is None:
+        table, points, limit = sweep(tm, f), [], None
+        for v, (lo, hi, n) in table.items():
+            if not v:
+                continue
+            if limit is None:
+                limit = cap()
+            if n > limit:
+                return points, v
+            if lo != hi or every:
+                points.append((v, lo, hi, _swept_marker(tm, v, table)))
+        return points, None
+    r, _Dp, table = found
+    D = tm.denom_lcm
+    top, capped = math.floor(f * D), None
+    if f >= tm.min_atom:
+        limit = cap()
+        capped = next((M * D for M, (_m, _X, n) in table.items() if n > limit), None)
+        if capped is not None:
+            top = capped - 1
+    ints = [(M * D, m, X) for M, (m, X, _n) in table.items() if m != X and M * D <= top]
+    if not ints:
+        return [], capped
+    # (R*D, |rho|) of the residue vectors that fit below top with some M
+    room, sums = top - ints[0][0], [(0, 0)]
+    for s, m in zip(tm.scaled_gens, r):
+        sums = [(R + c * s, n + c) for R, n in sums
+                for c in range(min(m, (room - R) // s + 1))]
+    sums.sort()
+    ends = [R for R, _rho in sums]
+    points = [(R + v, rho + m, rho + X, "integer-element" if not rho else
+               "shifted-element" if rho == 1 else "other")
+              for v, m, X in ints for R, rho in sums[:bisect_right(ends, top - v)]]
+    points.sort()
+    return points, capped
 
 
 @dataclass(frozen=True)

@@ -27,17 +27,18 @@ generators atoms without searching:
     is proved; with two generators of denominator d below g, c is
     bound to no single residue, so the certificate is not asked.
 
-L is read off prefix and suffix lcms over the distinct denominators,
-built once, on the first query that asks; nothing is factored.
+L is read off _lcm_but_one over the distinct denominators, built once,
+on the first query that asks; nothing is factored.
 
 Everything below a bound comes from one sweep: a sparse coin-change
 table, grown in place one atom at a time, that holds the shortest and
 longest factorization length and the number of factorizations of
 every element up to the bound.  The table is keyed by the elements
 themselves, so it stays desk-scale even when D is astronomically
-large.  The same kernel, with a length per coin, builds the table of
-integers that the elasticity scans of primary truncations read
-instead (see invariants).
+large.  The same kernel, with a length per coin, builds the smaller
+table that the elasticity scans and plot read instead when some
+denominator holds a higher power of some prime than all the others
+do (see invariants).
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import DomainError, ResourceCapError, SpecValidationError
 from .primes import is_prime
@@ -172,6 +174,14 @@ class Feasibility:
         return False
 
 
+def _lcm_but_one(values: list[int]) -> list[int]:
+    """For each i, the lcm of every entry of values but the i-th (1 for
+    a single entry), from prefix and suffix lcms; nothing is factored."""
+    prefix = list(accumulate(values, math.lcm, initial=1))
+    suffix = list(accumulate(reversed(values), math.lcm, initial=1))[::-1]
+    return [math.lcm(prefix[i], suffix[i + 1]) for i in range(len(values))]
+
+
 class _DenominatorCertificate:
     """The denominator certificate of the module docstring for the
     distinct scaled generators coins, descending, and by_scaled, which
@@ -195,13 +205,7 @@ class _DenominatorCertificate:
                 least[d] = k
             elif d in least:
                 self.pairs[k] = (place[d], least.pop(d))
-        dens = list(place)
-        self.prefix, self.suffix = [1], [1]  # lcm of dens[:i], of dens[i+1:]
-        for d in dens[:-1]:
-            self.prefix.append(math.lcm(self.prefix[-1], d))
-        for d in reversed(dens[1:]):
-            self.suffix.append(math.lcm(self.suffix[-1], d))
-        self.suffix.reverse()
+        self.others = _lcm_but_one(list(place))  # L of each denominator
 
     def proves_atom(self, k: int) -> bool:
         if self.pairs is None:
@@ -212,8 +216,7 @@ class _DenominatorCertificate:
         i, j = pair
         g, h = self.gens[k], self.gens[j]
         d = g.denominator
-        # r = d / gcd(d, L) with L the lcm of prefix[i] and suffix[i]
-        r = d // math.lcm(math.gcd(d, self.prefix[i]), math.gcd(d, self.suffix[i]))
+        r = d // math.gcd(d, self.others[i])
         c0 = g.numerator * pow(h.numerator, -1, r) % r
         return c0 * h.numerator > g.numerator
 
@@ -358,8 +361,8 @@ def _coin_table(coins, limit: int, budget: WorkBudget) -> dict[int, tuple[int, i
     first, up to the integer limit: the min and max length and the
     number of combinations of every sum, where a combination's length
     is the sum of its coins' lengths.  sweep gives every coin length
-    1; the elasticity scans of primary truncations weight the integer
-    part of an element by the atoms' primes (see invariants)."""
+    1; the elasticity scans weight each coin r_i*a_i by its modulus r_i
+    (see invariants)."""
     table = {0: (0, 0, 1)}
     keys = [0]
     budget.spend(1)  # the empty combination

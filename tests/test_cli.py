@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import copy
 import hashlib
 import io
 import itertools
@@ -19,7 +20,7 @@ from puiseux import cli, constructions, factorization
 from puiseux.factorization import factorizations
 from puiseux.monoid import elements_up_to, truncate
 from puiseux.rationals import format_rational
-from puiseux.specfile import MAX_EXPR_DEPTH, load_spec
+from puiseux.specfile import MAX_EXPR_DEPTH, load_spec, spec_to_json
 
 from oracles import brute_density_search
 
@@ -299,6 +300,84 @@ class TestExpressionFuzz:
         assert code in (0, 1, 2) and "Traceback" not in err
 
 
+# the twelve commands that read a description, each with the options
+# whose values the fuzz draws
+FUZZ_COMMANDS = {"atoms": (), "classify": (), "status": (),
+                 "contains": ("--element",), "factorize": ("--element",),
+                 "lengths": ("--element",), "elasticity": ("--element",),
+                 "decompose": ("--element",), "shift-check": ("--element", "--atom"),
+                 "rset": ("--bound",), "witnesses": ("--bound",), "plot": ("--bound",)}
+# small good values, wrong forms, huge integers, and the lone surrogates
+# that non-UTF-8 bytes of argv decode to
+FUZZ_VALUES = ("0", "1", "3/2", "2", "1/2", "-1", "1/0", "x", "", "1.5", HUGE,
+               "1/" + HUGE, "9" * 5001, "\udcff\udcfe")
+FUZZ_DEPTHS = ("1", "2", "3", "0", "-2", "x", HUGE, "9" * 5001, "\udcff")
+# wrong types and huge integers for any field; an index past sys.maxsize
+# is refused at once, where a large one below it would list that many primes
+FUZZ_JUNK = (None, True, 1.5, -1, 0, "", "x", [], {}, "1/0", "-3/4", 10**40, -10**40,
+             HUGE, "1/" + HUGE, [[[[["n"]]]]])
+FUZZ_DOCS = tuple(json.loads(spec_to_json(constructions.catalog(name, 3)))
+                  for name in constructions.CATALOG_NAMES)
+
+
+def _fields(doc):
+    """(container, key) of every value below doc."""
+    for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+        yield doc, key
+        if isinstance(value, (dict, list)):
+            yield from _fields(value)
+
+
+@st.composite
+def mutated_spec(draw):
+    """A catalog description with one to three fields dropped or
+    replaced, as bytes, sometimes with a byte that is not UTF-8."""
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        fields = list(_fields(doc))
+        if not fields:
+            break
+        container, key = draw(st.sampled_from(fields))
+        if draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = copy.deepcopy(draw(st.sampled_from(FUZZ_JUNK)))
+    data = json.dumps(doc).encode()
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80\x80"])) + data[at:]
+    return data
+
+
+class TestCliFuzz:
+    """cli.main over mutated catalog descriptions and argv values: every
+    run ends with exit 0, 1 or 2, never with a traceback."""
+
+    @given(mutated_spec(), st.sampled_from(sorted(FUZZ_COMMANDS)),
+           st.sampled_from(FUZZ_DEPTHS), st.lists(st.sampled_from(FUZZ_VALUES),
+                                                  min_size=2, max_size=2))
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_specs_and_argv(self, fuzz_spec, data, command, depth, values):
+        fuzz_spec.write_bytes(data)
+        argv = [command, "--spec", str(fuzz_spec)]
+        if command != "status":
+            argv += ["--depth", depth]
+        for option, value in zip(FUZZ_COMMANDS[command], values):
+            argv += [option, value]
+        code, err = _exit_and_stderr(argv)
+        assert code in (0, 1, 2) and "Traceback" not in err
+
+    def test_length_past_the_mask(self, capsys, tmp_path):
+        # a length mask of 10**20 bits cannot be built
+        spec = _catalog_file(tmp_path, "primarydense")
+        for command in ("lengths", "elasticity", "factorize", "shift-check"):
+            argv = [command, "--spec", spec, "--depth", "3", "--element", HUGE]
+            if command == "shift-check":
+                argv += ["--atom", "1/2"]
+            code, out, err = _run(capsys, *argv)
+            assert (code, out) == (1, "") and err.startswith("error: ")
+
+
 class TestBifurcusCommands:
     def test_build_text(self, capsys):
         code, out, _ = _run(capsys, "bifurcus", "--stages", "1",
@@ -511,6 +590,16 @@ class TestCapControls:
         code, _, err = _run(capsys, "factorize", "--spec", spec,
                             "--element", "1")
         assert code == 1 and "PUISEUX_CAP" in err
+
+
+    def test_bad_env_cap_is_read_at_the_least_atom(self, capsys, tmp_path, monkeypatch):
+        # the least atom of primarydense at depth 3 is 1/2
+        spec = _catalog_file(tmp_path, "primarydense")
+        monkeypatch.setenv("PUISEUX_CAP", "abc")
+        argv = ("plot", "--spec", spec, "--depth", "3", "--bound")
+        assert _run(capsys, *argv, "1/3") == (0, "element,elasticity,marker\n", "")
+        assert _run(capsys, *argv, "1/2") == (
+            1, "", "error: PUISEUX_CAP must be an integer, got 'abc'\n")
 
 
 class TestJsonAndCsvShapes:

@@ -1,6 +1,9 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
+import os
 import re
 from fractions import Fraction
 from itertools import count
@@ -14,7 +17,7 @@ from puiseux import cli, monoid
 from puiseux.constructions import catalog
 from puiseux.errors import (DomainError, InsufficientMetadataError,
                             NotAMemberError, ResourceCapError)
-from puiseux.factorization import factorizations, length_set
+from puiseux.factorization import DEFAULT_CAP, factorizations, length_set
 from puiseux.invariants import (bf_ff_status, decompose_stable_unstable,
                                 density_witness, elasticity_set,
                                 elasticity_witnesses, is_accepted,
@@ -23,7 +26,7 @@ from puiseux.invariants import (bf_ff_status, decompose_stable_unstable,
                                 _spec_is_primary, _stable_parts)
 from puiseux.monoid import (TruncatedMonoid, WorkBudget, contains,
                             from_generators, sweep, truncate)
-from puiseux.rationals import INFINITY
+from puiseux.rationals import INFINITY, format_rational
 from puiseux.specfile import parse_spec
 
 from oracles import brute_density_search, brute_elements, brute_factorizations
@@ -163,6 +166,27 @@ def primary_atoms(draw, max_size=6, max_numerator=40, primes=PRIMES_TO_31):
             for p in primes]
 
 
+@st.composite
+def pairwise_coprime_atoms(draw, max_size=5, max_value=30):
+    """1 to max_size fractions n/d, 2 <= d <= max_value, over pairwise
+    coprime denominators, each n <= max_value prime to its d."""
+    dens = []
+    for d in draw(st.lists(st.integers(2, max_value), min_size=1, max_size=max_size)):
+        if all(math.gcd(d, e) == 1 for e in dens):
+            dens.append(d)
+    return [Fraction(draw(st.integers(1, max_value).filter(lambda n, d=d: math.gcd(n, d) == 1)), d)
+            for d in dens]
+
+
+# denominators that share factors: 1 to 5 generators n/d, n and d in 1..30
+any_gens = st.lists(st.builds(Fraction, st.integers(1, 30), st.integers(1, 30)),
+                    min_size=1, max_size=5)
+
+# r = (5, 1, 1, 2) and D' = 30: 19/30 and 11/15 give no residue item,
+# and 5/4 past them still does
+NO_ITEM_ATOMS = [Fraction(14, 25), Fraction(19, 30), Fraction(11, 15), Fraction(5, 4)]
+
+
 def swept_set(tm, bound):
     """elasticity_set read off the sweep: the reference for the residue
     path."""
@@ -195,11 +219,15 @@ class TestPrimaryScans:
     """The residue-table path of elasticity_set and elasticity_witnesses
     against the sweep, which the other truncations still read."""
 
-    @given(primary_atoms(), st.builds(Fraction, st.integers(0, 40), st.integers(1, 4)))
+    @given(st.one_of(primary_atoms(), pairwise_coprime_atoms(), any_gens),
+           st.builds(Fraction, st.integers(0, 40), st.integers(1, 4)))
     @example([Fraction(3, 7)], Fraction(5))  # a single atom
     @example([Fraction(1, 2), Fraction(2, 3)], Fraction(1, 3))  # below the atoms
     @example(HALF_THIRD, AT_VOLUME_BOUND + Fraction(1, 600))  # U just over
-    @settings(max_examples=150, deadline=None)
+    @example(NO_ITEM_ATOMS, Fraction(12))  # in budget; a walk stopping at r_i = 1 loses one
+    @example(NO_ITEM_ATOMS, Fraction(25))  # past it: both sweep
+    @example([Fraction(5, 6), Fraction(7, 10), Fraction(11, 15)], Fraction(3))  # r = 1
+    @settings(max_examples=200, deadline=None)
     def test_same_answer_as_the_sweep(self, atoms, bound):
         # a small default budget keeps the sweeps short; the path
         # taken may then raise, and both paths must raise alike
@@ -223,6 +251,15 @@ class TestPrimaryScans:
         assert elasticity_witnesses(tm, bound) == [x for x, r in ratios.items()
                                                    if r == rho]
 
+    def test_an_atom_without_items_is_skipped(self):
+        # the greedy count walks on past 19/30 and 11/15 to 5/4; stopping
+        # at them loses 9 of the 158 elasticities
+        tm = from_generators(NO_ITEM_ATOMS)
+        assert _integer_table(tm, Fraction(25)) is not None
+        values = elasticity_set(tm, 25)
+        assert values == swept_set(tm, 25) and len(values) == 158
+        assert elasticity_witnesses(tm, 25) == swept_witnesses(tm, 25)
+
     def test_which_inputs_take_the_residue_table(self):
         tm = from_generators(HALF_THIRD)
         with patch.object(monoid, "_DEFAULT_BUDGET", VOLUME_BUDGET):
@@ -230,9 +267,79 @@ class TestPrimaryScans:
             assert _integer_table(tm, AT_VOLUME_BOUND + Fraction(1, 600)) is None
             assert _integer_table(tm, Fraction(-1)) is None
         assert _integer_table(from_generators([Fraction(3, 7)]), Fraction(5)) is None
-        not_primary = from_generators([Fraction(1, 2), Fraction(1, 4)])
-        assert _integer_table(not_primary, Fraction(1)) is None
-        assert _integer_table(tm, Fraction(1, 4)) == {0: (0, 0, 1)}
+        one_atom = from_generators([Fraction(1, 2), Fraction(1, 4)])
+        assert _integer_table(one_atom, Fraction(1)) is None
+        every_r_is_1 = from_generators([Fraction(5, 6), Fraction(7, 10), Fraction(11, 15)])
+        assert _integer_table(every_r_is_1, Fraction(3)) is None
+        # (r, D', table), the atoms ascending: 1/3 has r = 3, 1/2 has r = 2
+        assert _integer_table(tm, Fraction(1, 4)) == ([3, 2], 1, {0: (0, 0, 1)})
+        assert _integer_table(tm, Fraction(1), for_plot=True) == (
+            [3, 2], 1, {0: (0, 0, 1), 1: (2, 3, 2)})
+        shared = from_generators(NO_ITEM_ATOMS)
+        r, Dp, _table = _integer_table(shared, Fraction(3))
+        assert (r, Dp) == ([5, 1, 1, 2], 30)
+        assert _integer_table(shared, Fraction(3), for_plot=True) is None
+
+
+def swept_plot(tm, bound, cap, decimal):
+    """plot's stdout lines and exit code read off the sweep: the
+    reference for the rows of the residue table."""
+    rows = ["element,elasticity,marker" + (",approx" if decimal else "")]
+    try:
+        table = sweep(tm, bound)
+    except ResourceCapError:
+        return rows + ["capped,,element enumeration exhausted the work budget"], 1
+    D = tm.denom_lcm
+    for v, (lo, hi, count) in table.items():
+        if not v:
+            continue
+        if count > cap:
+            return rows + [f"capped,{format_rational(tm.unscale(v))},"
+                           "factorization cap exceeded"], 1
+        if lo == hi:
+            continue
+        if v % D == 0:
+            marker = "integer-element"
+        elif any(v > s and (v - s) % D == 0 and v - s in table for s in tm.scaled_gens):
+            marker = "shifted-element"
+        else:
+            marker = "other"
+        rho = Fraction(hi, lo)
+        rows.append(f"{format_rational(tm.unscale(v))},{format_rational(rho)},{marker}"
+                    + (f",{float(rho)!r}" if decimal else ""))
+    return rows, 0
+
+
+@pytest.fixture(scope="module")
+def plot_spec(tmp_path_factory):
+    return tmp_path_factory.mktemp("plot") / "spec.json"
+
+
+class TestPlotRows:
+    """plot's rows from the residue table (primary and pairwise coprime
+    truncations) against rows built from the sweep."""
+
+    @given(st.one_of(primary_atoms(max_size=4, max_numerator=12, primes=PRIMES_TO_31[:6]),
+                     pairwise_coprime_atoms(max_size=4, max_value=12)),
+           st.builds(Fraction, st.integers(0, 24), st.integers(1, 4)),
+           st.one_of(st.none(), st.integers(1, 5)), st.booleans())
+    @example(HALF_THIRD, Fraction(4), 2, False)
+    @example([Fraction(1, 2), Fraction(2, 3), Fraction(3, 5)], Fraction(5), None, True)
+    @settings(max_examples=150, deadline=None)
+    def test_same_rows_as_the_sweep(self, plot_spec, atoms, bound, cap, decimal):
+        plot_spec.write_text(json.dumps({"schema": 1, "families": [
+            {"kind": "explicit", "generators": [format_rational(a) for a in atoms]}]}),
+            encoding="utf-8")
+        argv = (["plot", "--spec", str(plot_spec), "--bound", format_rational(bound)]
+                + (["--cap", str(cap)] if cap else []) + (["--decimal"] if decimal else []))
+        out = io.StringIO()
+        with patch.object(monoid, "_DEFAULT_BUDGET", VOLUME_BUDGET), \
+                patch.dict("os.environ"), contextlib.redirect_stdout(out):
+            os.environ.pop("PUISEUX_CAP", None)
+            code = cli.main(argv)
+            expected = swept_plot(from_generators(atoms), bound, cap or DEFAULT_CAP,
+                                  decimal)
+        assert (out.getvalue().splitlines(), code) == expected
 
 
 class TestScanBudgetParity:
