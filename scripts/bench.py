@@ -14,8 +14,10 @@ in DIR as it was before this run (the one this run replaces, when
 the revision is the same), with their ratio.  perfbench/ is only run,
 never changed.
 
-The exit code is 0 when every workload ran and every op was correct,
-1 otherwise.
+The exit code is 0 when every workload ran and every op was correct
+(its exit code and stdout sha256 match perfbench/expected.json), 1
+otherwise; a failing workload's FAILED lines and stderr tail are
+printed.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ def revision() -> str:
 
 def run_workload(workload: str, seed: int, seconds: float) -> dict:
     """perfbench/run.py's result object for one workload: its last
-    stdout line, plus the exit code."""
+    stdout line, plus the exit code.  When the workload fails, its
+    FAILED lines and the tail of its stderr go to stderr."""
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -59,6 +62,10 @@ def run_workload(workload: str, seed: int, seconds: float) -> dict:
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
         result = {"correct": False, "error": proc.stderr.strip()[-500:]}
+    if proc.returncode or not result.get("correct"):
+        print(f"{workload}: run.py exited {proc.returncode}",
+              *(line for line in lines if line.startswith("FAILED ")),
+              proc.stderr.strip()[-2000:], sep="\n", file=sys.stderr)
     return {"exit_code": proc.returncode, **result}
 
 

@@ -442,9 +442,6 @@ def main(argv=None) -> int:
         print("error: out of memory; try a smaller depth, bound or cap",
               file=sys.stderr)
         return 1
-    except OverflowError as exc:  # a length mask past sys.maxsize bits
-        print(f"error: a value is too large to compute with ({exc})", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ scans of invariants read that table, or its integer form, directly.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -168,8 +169,10 @@ class FactorizationCounts(ResidueSteps):
         Raises NotAMemberError when x is not in the monoid, and a
         ResourceCapError as soon as more than the cap (the cap argument,
         else PUISEUX_CAP or the default) factorizations of x are
-        counted.  Without a budget each call gets its own of
-        max(cap*50, 10**7) steps.
+        counted, and a DomainError when x might have a factorization of
+        more than sys.maxsize atoms, which no length mask can hold.
+        Without a budget each call gets its own of max(cap*50, 10**7)
+        steps.
         """
         f = x if isinstance(x, Fraction) else Fraction(x)
         if f < 0:
@@ -180,6 +183,9 @@ class FactorizationCounts(ResidueSteps):
         t = self.tm.scale(f)
         if t is None:
             raise NotAMemberError(f"{format_rational(f)} is not in the monoid")
+        if t // self.mins[0] > sys.maxsize:  # a longest length no shift can reach
+            raise DomainError(f"{format_rational(f)} may have factorizations of more "
+                              f"than {sys.maxsize} atoms, past any length mask")
         found = self._search(t, limit, _as_budget(budget, limit * 50))
         if not found[0]:
             raise NotAMemberError(f"{format_rational(f)} is not in the monoid")

@@ -97,7 +97,7 @@ from itertools import compress
 from .errors import (DomainError, InsufficientMetadataError, NotAMemberError,
                      SpecValidationError)
 from .monoid import (Feasibility, TruncatedMonoid, WorkBudget, _as_budget,
-                     _coin_table, _lcm_but_one, is_primary, sweep)
+                     _coin_table, _private_moduli, is_primary, sweep)
 from .factorization import FactorizationCounts, ResidueSteps
 from .primes import is_prime
 from .rationals import INFINITY, format_rational
@@ -190,7 +190,7 @@ def _integer_table(tm: TruncatedMonoid, f: Fraction, for_plot: bool = False):
     if f < 0 or k < 2:
         return None
     dens = [a.denominator for a in tm.atoms]
-    r = [d // math.gcd(d, L) for d, L in zip(dens, _lcm_but_one(dens))]
+    r = _private_moduli(dens)
     Dp = math.lcm(*(d // m for d, m in zip(dens, r)))
     if max(r) == 1 or for_plot and (Dp > 1 or min(r) == 1):
         return None

@@ -27,8 +27,8 @@ generators atoms without searching:
     is proved; with two generators of denominator d below g, c is
     bound to no single residue, so the certificate is not asked.
 
-L is read off _lcm_but_one over the distinct denominators, built once,
-on the first query that asks; nothing is factored.
+r is read off _private_moduli over the distinct denominators, built
+once, on the first query that asks; nothing is factored.
 
 Everything below a bound comes from one sweep: a sparse coin-change
 table, grown in place one atom at a time, that holds the shortest and
@@ -174,12 +174,15 @@ class Feasibility:
         return False
 
 
-def _lcm_but_one(values: list[int]) -> list[int]:
-    """For each i, the lcm of every entry of values but the i-th (1 for
-    a single entry), from prefix and suffix lcms; nothing is factored."""
-    prefix = list(accumulate(values, math.lcm, initial=1))
-    suffix = list(accumulate(reversed(values), math.lcm, initial=1))[::-1]
-    return [math.lcm(prefix[i], suffix[i + 1]) for i in range(len(values))]
+def _private_moduli(values: list[int]) -> list[int]:
+    """For each i, r_i = values[i] // gcd(values[i], L_i), with L_i the
+    lcm of every other entry (1 for a single entry).  L_i is never
+    built: gcd(d, lcm(P, S)) = lcm(gcd(d, P), gcd(d, S)) for the prefix
+    and suffix lcms P and S, so only a small d meets the large ones."""
+    prefix = list(accumulate(values[:-1], math.lcm, initial=1))
+    suffix = list(accumulate(reversed(values[1:]), math.lcm, initial=1))[::-1]
+    return [d // math.lcm(math.gcd(d, p), math.gcd(d, s))
+            for d, p, s in zip(values, prefix, suffix)]
 
 
 class _DenominatorCertificate:
@@ -205,7 +208,7 @@ class _DenominatorCertificate:
                 least[d] = k
             elif d in least:
                 self.pairs[k] = (place[d], least.pop(d))
-        self.others = _lcm_but_one(list(place))  # L of each denominator
+        self.moduli = _private_moduli(list(place))  # d / gcd(d, L)
 
     def proves_atom(self, k: int) -> bool:
         if self.pairs is None:
@@ -214,9 +217,7 @@ class _DenominatorCertificate:
         if pair is None:
             return False
         i, j = pair
-        g, h = self.gens[k], self.gens[j]
-        d = g.denominator
-        r = d // math.gcd(d, self.others[i])
+        g, h, r = self.gens[k], self.gens[j], self.moduli[i]
         c0 = g.numerator * pow(h.numerator, -1, r) % r
         return c0 * h.numerator > g.numerator
 

@@ -44,3 +44,18 @@ def test_a_failed_op_is_exit_1(monkeypatch, tmp_path):
     monkeypatch.setattr(bench, "run_workload", lambda w, seed, s: _result(0.01, failed=1))
     assert bench.main(["--out-dir", str(tmp_path)]) == 1
     assert len(list(tmp_path.glob("BENCH_*.json"))) == 1
+
+
+def test_a_failed_workload_prints_its_failed_ops(monkeypatch, capsys):
+    bench = _load_bench()
+    stdout = ("workload scan, seed 1: 2 ops x 1 rounds\n"
+              "FAILED plot --depth 6: differs from the pinned result (exit 0)\n"
+              + json.dumps({"correct": False, "attempted": 2, "failed": 1}) + "\n")
+    monkeypatch.setattr(bench.subprocess, "run", lambda *a, **k: bench.subprocess.CompletedProcess(
+        a, 1, stdout=stdout, stderr="a warning\n"))
+    result = bench.run_workload("scan", 1, 1.0)
+    assert result == {"exit_code": 1, "correct": False, "attempted": 2, "failed": 1}
+    assert capsys.readouterr().err.splitlines() == [
+        "scan: run.py exited 1",
+        "FAILED plot --depth 6: differs from the pinned result (exit 0)",
+        "a warning"]

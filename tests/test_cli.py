@@ -376,6 +376,7 @@ class TestCliFuzz:
                 argv += ["--atom", "1/2"]
             code, out, err = _run(capsys, *argv)
             assert (code, out) == (1, "") and err.startswith("error: ")
+            assert "past any length mask" in err
 
 
 class TestBifurcusCommands:

@@ -10,9 +10,9 @@ from oracles import (brute_atoms, brute_coin_table, brute_elements,
 from puiseux.constructions import catalog
 from puiseux.errors import (DomainError, ResourceCapError, SpecValidationError)
 from puiseux.monoid import (TruncatedMonoid, WorkBudget, _DenominatorCertificate,
-                            _coin_table, classify_stability, contains,
-                            elements_up_to, from_generators, is_primary, sweep,
-                            truncate)
+                            _coin_table, _private_moduli, classify_stability,
+                            contains, elements_up_to, from_generators, is_primary,
+                            sweep, truncate)
 from puiseux.specfile import parse_spec
 
 small_gens = st.lists(
@@ -105,6 +105,13 @@ class TestDenominatorCertificate:
         gens = [Fraction(2, 7), Fraction(3, 7), Fraction(5, 7)]
         assert not _proves_atom(gens, Fraction(5, 7))
         assert from_generators(gens).atoms == (Fraction(2, 7), Fraction(3, 7))
+
+    @given(st.lists(st.integers(1, 10**12), max_size=8))
+    @example([12, 18, 5])  # r = [2, 3, 5]: 12 keeps its 4, 18 its 9
+    def test_private_moduli(self, values):
+        assert _private_moduli(values) == [
+            d // math.gcd(d, math.lcm(*values[:i], *values[i + 1:]))
+            for i, d in enumerate(values)]
 
     def test_least_of_a_denominator_is_no_certificate(self):
         gens = [Fraction(1, 3), Fraction(3, 7), Fraction(4, 7)]
