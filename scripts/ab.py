@@ -15,7 +15,8 @@ op.  Both trees run under the same host drift, so their ratio is
 steadier than two separate benchmark runs.
 
 Printed: each op's median time over the rounds on both trees and the
-ratio checkout/rev, the summed medians, and whether every exit code,
+ratio checkout/rev, the summed medians, the quartiles of the per-round
+ratios checkout/rev of the summed op times, and whether every exit code,
 stdout and stderr matched (work-directory paths read alike).  An op
 that raises is recorded with the exception as its exit code, so one
 that raises in only one tree shows as a difference.  The exit code is 0 when every output matched,
@@ -111,8 +112,18 @@ def _run(cli, argv, workdir: str):
     return seconds, (code, *(s.getvalue().replace(workdir, "{w}") for s in (out, err)))
 
 
+def paired_quartiles(rounds) -> list[float]:
+    """The quartiles of checkout/rev over (rev s, checkout s) pairs, one
+    pair a round: the paired ratios cancel the drift both trees ran
+    under in that round."""
+    return statistics.quantiles([this / base for base, this in rounds], n=4,
+                                method="inclusive")
+
+
 def compare(rev: str, workload: str, seed: int) -> dict:
-    """{"ops": [(argv, rev median s, checkout median s)], "differ": [argv]}."""
+    """{"ops": [(argv, rev median s, checkout median s)], "rounds": [(rev
+    s, checkout s) summed over the ops, one pair a round], "differ":
+    [argv]}."""
     argvs, files = _ops(workload, seed)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -136,6 +147,8 @@ def compare(rev: str, workload: str, seed: int) -> dict:
                 del sys.modules[name]
     return {"ops": [(argv, statistics.median(a), statistics.median(b))
                     for argv, (a, b) in zip(argvs, times)],
+            "rounds": [tuple(sum(op[side][r] for op in times) for side in (0, 1))
+                       for r in range(ROUNDS)],
             "differ": [argvs[i] for i in sorted(differ)]}
 
 
@@ -159,6 +172,8 @@ def main(argv=None) -> int:
     base = sum(b for _op, b, _t in result["ops"])
     this = sum(t for _op, _b, t in result["ops"])
     print(f"{base * 1e3:10.3f} {this * 1e3:10.3f} {this / base:7.3f}  total")
+    q1, q2, q3 = paired_quartiles(result["rounds"])
+    print(f"per-round total checkout/{args.rev} quartiles: {q1:.3f} {q2:.3f} {q3:.3f}")
     if result["differ"]:
         print(f"outputs differ on {len(result['differ'])} of {len(result['ops'])} ops:")
         for op in result["differ"]:

@@ -10,14 +10,45 @@ limit, every nonzero nonunit is a sum of two atoms: each stage finds
 the reducible elements (up to a value bound) that still lack a
 length-2 factorization and, per such element a, adjoins the pair
 a/2 - 1/p and a/2 + 1/p for a fresh prime p.  The build keeps the
-reducibles it reads off its one sweep of each stage, so verification
-checks the claimed invariants on the finite stages actually built
-without sweeping again.
+reducibles it reads off its one sweep of each stage, on that stage's
+integer scale, so verification checks the claimed invariants on the
+finite stages actually built without sweeping again.
+
+Each stage is the last one with its pairs adjoined, not a fresh
+reduction of every generator so far, by this certificate:
+
+    Let M be a truncation with atoms A and denominator lcm D, and
+    adjoin pairs l_i = a_i/2 - 1/p_i, h_i = a_i/2 + 1/p_i, where each
+    a_i is an element of M that is a sum of at least two atoms, the
+    p_i are distinct odd primes that do not divide D, and, with T the
+    largest of the top atom of M and every h_k,
+    (p_i - 1)*l_i > T.  Then A and every l_i, h_i are the atoms of
+    the monoid they generate.  Write v_i for the p_i-adic valuation.
+    Every atom of A and every l_k, h_k with k != i has v_i >= 0, as
+    its denominator divides 2*D*p_k; a_i/2 has v_i >= 0 too, and
+    x*l_i + y*h_i = (x + y)*a_i/2 + (y - x)/p_i, so a sum with x
+    copies of l_i and y of h_i has v_i >= 0 iff p_i | y - x.
+    Suppose a generator g is a sum of two or more generators, so not
+    of g itself.
+    - g = l_i: x = 0, and y = 0 as h_i > l_i, so v_i of the sum is
+      >= 0, but v_i(l_i) = -1.
+    - g = h_i: y = 0, and h_i - x*l_i = (1 - x)*a_i/2 + (x + 1)/p_i
+      is the rest of the sum, so p_i | x + 1, and
+      g >= (p_i - 1)*l_i > T >= h_i.
+    - g in A: for every i, x != y would put max(x, y) >= p_i copies
+      of l_i or h_i in the sum, so g >= p_i*l_i > T; hence x = y, the
+      pair adds x*a_i, and g is a sum of two or more atoms of M,
+      which an atom of M is not.
+    The pair elements have v_i = -1, so none equals an old atom, and
+    the new denominator lcm is lcm(D, the pair denominators).
+    When a condition fails the stage is reduced from its generators
+    instead (_adjoin).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -160,49 +191,65 @@ class StagedMonoid:
     """Chain of truncations stages[0] <= stages[1] <= ... with the
     per-stage adjunction records that produced them.  reducibles[j]
     lists, ascending, the non-atom nonzero elements <= value_bound of
-    stages[j], for every stage but the last."""
+    stages[j], for every stage but the last, scaled by stages[j]'s
+    denom_lcm."""
 
     stages: tuple[TruncatedMonoid, ...]
     records: tuple[StageRecord, ...]
     value_bound: Fraction
-    reducibles: tuple[tuple[Fraction, ...], ...]
+    reducibles: tuple[tuple[int, ...], ...]
 
     @property
     def final(self) -> TruncatedMonoid:
         return self.stages[-1]
 
 
-def _not_split_in_two(tm: TruncatedMonoid, xs) -> list[Fraction]:
-    """The x in xs that are not a sum of two atoms of tm, tested on
-    scaled integers against one set of scaled atoms.  A split X = A + B
-    has min(A, B) <= X/2, so only the atoms up to X/2 are probed, from
-    X/2 down: the construction splits a reducible as a/2 -/+ 1/p, so the
+def _split_in_two(X: int, gens: tuple[int, ...], gen_set: set[int]) -> bool:
+    """Whether the scaled X is a sum of two of the scaled atoms gens
+    (ascending; gen_set holds them).  A split X = A + B has
+    min(A, B) <= X/2, so only the atoms up to X/2 are probed, from X/2
+    down: the construction splits a reducible as a/2 -/+ 1/p, so the
     lower atom of its pair lies just below X/2."""
-    gens = tm.scaled_gens
-    gen_set = set(gens)
-    out = []
-    for x in xs:
-        X = tm.scale(x)
-        if X is None or not any(X - gens[k] in gen_set
-                                for k in range(bisect_right(gens, X // 2) - 1, -1, -1)):
-            out.append(x)
-    return out
+    return any(X - gens[k] in gen_set
+               for k in range(bisect_right(gens, X // 2) - 1, -1, -1))
+
+
+def _adjoin(prev: TruncatedMonoid, pairs) -> TruncatedMonoid:
+    """prev with the atom pairs adjoined, each pair's reducible a sum of
+    two or more atoms of prev and each prime a prime: on the new scale,
+    prev's atoms and the pairs, by the certificate of the module
+    docstring, else the reduction of all of them."""
+    new = [g for pair in pairs for g in (pair.low, pair.high)]
+    D = prev.denom_lcm
+    D2 = math.lcm(D, *(g.denominator for g in new))
+    m = D2 // D
+    scaled = [g.numerator * (D2 // g.denominator) for g in new]
+    top = max(prev.scaled_gens[-1] * m, *scaled[1::2])
+    primes = [pair.prime for pair in pairs]
+    if len(set(primes)) < len(primes) or not all(
+            p > 2 and D % p and (p - 1) * low > top
+            for p, low in zip(primes, scaled[::2])):
+        return from_generators((*prev.atoms, *new))
+    by_scaled = dict(zip(scaled, new))
+    by_scaled.update((s * m, a) for s, a in zip(prev.scaled_gens, prev.atoms))
+    order = sorted(by_scaled)
+    return TruncatedMonoid(atoms=tuple(by_scaled[s] for s in order), denom_lcm=D2,
+                           scaled_gens=tuple(order))
 
 
 def _grow(base: TruncatedMonoid, bound: Fraction):
     """Yield (record, reducibles of the stage before, stage) for stages
     1, 2, ... of bifurcus_build from base, building each stage only
     when it is asked for."""
-    gens = list(base.atoms)
     prev = base
     last = 0
     for j in count(1):
         # reducibles are the elements whose shortest factorization has
         # two or more atoms; one has a length-2 factorization iff its
         # shortest has length 2
-        shortest = [(prev.unscale(v), lo) for v, (lo, _hi, _n)
-                    in sweep(prev, bound).items() if lo >= 2]
-        missing = [a for a, lo in shortest if lo >= 3]
+        table = sweep(prev, bound)
+        reducibles = tuple(v for v, (lo, _hi, _n) in table.items() if lo >= 2)
+        missing = [prev.unscale(v) for v, (lo, _hi, _n) in table.items() if lo >= 3]
         added = []
         # floors never decrease, so every prime in [floor, last] is used
         floor = max(PRIME_FLOOR, 2 ** j)
@@ -210,16 +257,13 @@ def _grow(base: TruncatedMonoid, bound: Fraction):
             p = last = next_prime_at_least(max(floor, last + 1))
             # a/2 -/+ 1/p = (u*p -/+ 2*v) / (2*v*p) for a = u/v
             u, v = a.as_integer_ratio()
-            pair = AtomPair(reducible=a, prime=p, low=Fraction(u * p - 2 * v, 2 * v * p),
-                            high=Fraction(u * p + 2 * v, 2 * v * p))
-            added.append(pair)
-            gens.extend((pair.low, pair.high))
-        reducibles = tuple(a for a, _lo in shortest)
+            added.append(AtomPair(reducible=a, prime=p, low=Fraction(u * p - 2 * v, 2 * v * p),
+                                  high=Fraction(u * p + 2 * v, 2 * v * p)))
         if not added:
             # the monoid stays as it is, so every later stage is this one
             for i in count(j):
                 yield StageRecord(index=i, added=()), reducibles, prev
-        prev = from_generators(gens)
+        prev = _adjoin(prev, added)
         yield StageRecord(index=j, added=tuple(added)), reducibles, prev
 
 
@@ -309,11 +353,19 @@ def bifurcus_verify(sm: StagedMonoid, bound) -> BifurcusVerification:
                    if final.scale(a) not in final_atoms})
     atoms_persist_ok = not lost
 
+    # each reducible x of stage j - 1 is x * num / den on stage j's
+    # scale, num and den coprime: an integer iff den divides x
     uncovered = []
     for j in range(1, len(sm.stages)):
+        prev, stage = sm.stages[j - 1], sm.stages[j]
+        g = math.gcd(prev.denom_lcm, stage.denom_lcm)
+        num, den = stage.denom_lcm // g, prev.denom_lcm // g
+        gens, gen_set = stage.scaled_gens, set(stage.scaled_gens)
         xs = sm.reducibles[j - 1]  # ascending
-        uncovered.extend((j, x) for x in _not_split_in_two(
-            sm.stages[j], xs[:bisect_right(xs, b)]))
+        for x in xs[:bisect_right(xs, math.floor(b * prev.denom_lcm))]:
+            q, r = divmod(x, den)
+            if r or not _split_in_two(q * num, gens, gen_set):
+                uncovered.append((j, prev.unscale(x)))
     return BifurcusVerification(bound=b, min_element=min_element, min_ok=min_ok,
                                 atoms_persist_ok=atoms_persist_ok,
                                 lost_atoms=tuple(lost),
@@ -373,7 +425,9 @@ def staged_from_dict(doc: dict) -> StagedMonoid:
     must equal the replayed one: the replay stops at the first record
     that differs.  The replayed stages are returned.
     """
-    if not isinstance(doc, dict) or doc.get("schema") != STAGED_SCHEMA:
+    # integers are compared by type too: True and 1.0 equal 1
+    if (not isinstance(doc, dict) or type(doc.get("schema")) is not int
+            or doc["schema"] != STAGED_SCHEMA):
         raise SpecValidationError(
             f"staged-monoid document must declare schema {STAGED_SCHEMA}")
     raw_base = doc.get("base_generators", [])
@@ -394,7 +448,7 @@ def staged_from_dict(doc: dict) -> StagedMonoid:
         if not isinstance(raw, dict) or not isinstance(raw.get("added", []), list):
             raise SpecValidationError(
                 f"stage record {pos} must be an object with an added list")
-        if raw.get("stage") != pos:
+        if type(raw.get("stage")) is not int or raw["stage"] != pos:
             raise SpecValidationError(f"stage records out of order at {pos}")
         added = []
         for entry in raw.get("added", ()):

@@ -401,7 +401,8 @@ def parse_spec(text: str) -> MonoidSpec:
     extra = set(doc) - {"schema", "families", "metadata"}
     if extra:
         raise SpecValidationError(f"unknown top-level keys {sorted(extra)}")
-    if doc.get("schema") != SCHEMA_VERSION:
+    # by type too: True and 1.0 equal 1
+    if type(doc.get("schema")) is not int or doc["schema"] != SCHEMA_VERSION:
         raise SpecValidationError(
             f"unsupported schema {doc.get('schema')!r}; this build reads schema "
             f"{SCHEMA_VERSION}")

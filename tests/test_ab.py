@@ -34,6 +34,8 @@ def test_head_against_the_checkout(monkeypatch):
     assert result["differ"] == []
     assert len(result["ops"]) == 6
     assert all(base > 0 and this > 0 for _argv, base, this in result["ops"])
+    assert len(result["rounds"]) == 3
+    assert all(base > 0 and this > 0 for base, this in result["rounds"])
     # the base tree came from the archive, under its own name, and is gone
     assert not any(name.startswith(ab.BASE_NAME) for name in sys.modules)
 
@@ -60,3 +62,22 @@ def test_an_op_that_raises_is_a_difference(monkeypatch):
     assert result["differ"]
     assert all(argv[0] == "verify-bifurcus" for argv in result["differ"])
     assert len(result["ops"]) == 6
+
+
+def test_paired_quartiles_on_canned_rounds():
+    ab = _load_ab()
+    # checkout/rev per round: 0.5, 0.6, 0.7, 0.8, 0.9, whatever each
+    # round's own speed
+    rounds = [(2.0, 1.0), (10.0, 6.0), (1.0, 0.7), (5.0, 4.0), (0.1, 0.09)]
+    assert ab.paired_quartiles(rounds) == pytest.approx([0.6, 0.7, 0.8])
+
+
+def test_main_prints_the_quartiles(monkeypatch, capsys):
+    ab = _load_ab()
+    canned = {"ops": [(["a"], 1.0, 0.5), (["b"], 3.0, 3.0)],
+              "rounds": [(4.0, 3.0), (4.0, 4.0), (8.0, 4.0)], "differ": []}
+    monkeypatch.setattr(ab, "compare", lambda rev, workload, seed: canned)
+    assert ab.main(["HEAD"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3].split() == ["4000.000", "3500.000", "0.875", "total"]
+    assert lines[-2] == "per-round total checkout/HEAD quartiles: 0.625 0.750 0.875"

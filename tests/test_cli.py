@@ -379,6 +379,42 @@ class TestCliFuzz:
             assert "past any length mask" in err
 
 
+STAGED_DOCS = tuple(constructions.staged_to_dict(constructions.bifurcus_build(k, b))
+                    for k, b in ((1, Fraction(3, 2)), (2, Fraction(3, 2)),
+                                 (3, Fraction(7, 6))))
+STAGED_BOUNDS = ("3/2", "7/6", "1/3", "0", "-1", "2", "x", "1/0", HUGE)
+
+
+@st.composite
+def mutated_staged(draw):
+    """A staged build's document with one to three fields dropped or
+    replaced, as JSON text."""
+    doc = copy.deepcopy(draw(st.sampled_from(STAGED_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        fields = list(_fields(doc))
+        if not fields:
+            break
+        container, key = draw(st.sampled_from(fields))
+        if draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = copy.deepcopy(draw(st.sampled_from(FUZZ_JUNK)))
+    return json.dumps(doc)
+
+
+class TestStagedFuzz:
+    """verify-bifurcus over mutated staged documents: every run ends
+    with exit 0, 1 or 2, never with a traceback."""
+
+    @given(mutated_staged(), st.sampled_from(STAGED_BOUNDS))
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_staged_documents(self, fuzz_spec, text, bound):
+        fuzz_spec.write_text(text, encoding="utf-8")
+        code, err = _exit_and_stderr(["verify-bifurcus", "--staged", str(fuzz_spec),
+                                      "--bound", bound])
+        assert code in (0, 1, 2) and "Traceback" not in err
+
+
 class TestBifurcusCommands:
     def test_build_text(self, capsys):
         code, out, _ = _run(capsys, "bifurcus", "--stages", "1",

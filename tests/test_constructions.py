@@ -1,10 +1,12 @@
+import hashlib
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
 from oracles import sieve
-from puiseux import constructions
+from puiseux import constructions, monoid
 from puiseux.constructions import (BASE_GENERATORS, CATALOG_NAMES, AtomPair,
                                    StagedMonoid, StageRecord, bifurcus_build,
                                    bifurcus_verify, catalog, load_staged,
@@ -118,7 +120,7 @@ class TestBifurcusBuild:
         assert len(sm.records[0].added) == 1
         assert sm.records[1].added == ()
 
-    # six stages at 3/2 reduce 1,992 generators and take ~40 s
+    # six stages at 3/2 adjoin 996 pairs and take several seconds
     @pytest.mark.parametrize("bound, most_stages", [(Fraction(6, 5), 6),
                                                     (Fraction(3, 2), 5)])
     def test_primes_are_least_unused_above_the_stage_floor(self, bound,
@@ -143,9 +145,8 @@ class TestBifurcusBuild:
         sm = bifurcus_build(num_stages, bound)
         assert len(sm.reducibles) == num_stages
         for stage, recorded in zip(sm.stages, sm.reducibles):
-            assert recorded == tuple(
-                stage.unscale(v) for v, (lo, _hi, _n)
-                in sweep(stage, bound).items() if lo >= 2)
+            assert recorded == tuple(v for v, (lo, _hi, _n)
+                                     in sweep(stage, bound).items() if lo >= 2)
 
     def test_records_match_fixture(self):
         # captured from the build before atom reduction and the prime
@@ -164,6 +165,75 @@ class TestBifurcusBuild:
             AtomPair(Fraction(7, 6), 13, Fraction(1, 3), Fraction(1, 2))
         with pytest.raises(DomainError, match="low < high"):
             AtomPair(Fraction(7, 6), 13, Fraction(7, 12), Fraction(7, 12))
+
+
+def _pair(a, p):
+    return AtomPair(a, p, a / 2 - Fraction(1, p), a / 2 + Fraction(1, p))
+
+
+@pytest.fixture
+def reductions(monkeypatch):
+    """The generator lists constructions hands to from_generators."""
+    seen = []
+    monkeypatch.setattr(constructions, "from_generators",
+                        lambda gens: seen.append(gens) or from_generators(gens))
+    return seen
+
+
+class TestStageCertificate:
+    """_grow adjoins each stage's pairs to the last stage by the module
+    docstring's certificate instead of reducing every generator so far."""
+
+    @pytest.mark.parametrize("most_stages, bound", [
+        *((4, Fraction(b)) for b in ("7/6", "6/5", "5/4", "4/3", "7/5", "3/2")),
+        (3, Fraction(8, 5)), (3, Fraction(5, 3)),
+        (2, Fraction(7, 4)), (2, Fraction(9, 5)), (2, Fraction(2))])
+    def test_every_stage_is_the_reduction_of_its_generators(self, reductions,
+                                                            most_stages, bound):
+        base = from_generators(BASE_GENERATORS)
+        gens = list(BASE_GENERATORS)
+        for rec, _reducibles, stage in islice(constructions._grow(base, bound),
+                                              most_stages):
+            gens.extend(g for pair in rec.added for g in (pair.low, pair.high))
+            assert stage == from_generators(gens)
+        assert reductions == []  # the certificate held on every stage
+
+    @pytest.mark.parametrize("gens, pairs", [
+        # 13 * 10/39 < 17/5
+        ((Fraction(1, 3), Fraction(1, 2), Fraction(17, 5)), [_pair(Fraction(2, 3), 13)]),
+        # 79/12 = 13 * 79/156 is no longer an atom
+        ((Fraction(1, 3), Fraction(1, 2), Fraction(79, 12)), [_pair(Fraction(7, 6), 13)]),
+        # 13 divides the denominator lcm 78: 16/39 = 1/13 + 1/3
+        ((Fraction(1, 13), Fraction(1, 3), Fraction(1, 2)), [_pair(Fraction(2, 3), 13)]),
+        # 13 * 2/143 > 24/143, yet 24/143 = 12 * 2/143: the bound is
+        # (p - 1) * low
+        ((Fraction(1, 11),), [_pair(Fraction(2, 11), 13)]),
+        # one prime for two pairs
+        (BASE_GENERATORS, [_pair(Fraction(7, 6), 13), _pair(Fraction(4, 3), 13)]),
+    ])
+    def test_fallback_reduces_when_a_condition_fails(self, reductions, gens, pairs):
+        grown = constructions._adjoin(from_generators(gens), pairs)
+        assert grown == from_generators(
+            (*gens, *(g for pair in pairs for g in (pair.low, pair.high))))
+        assert len(reductions) == 1
+
+    def test_build_searches_nothing(self, monkeypatch):
+        def no_search(*_args):
+            raise AssertionError("atom reduction searched")
+
+        monkeypatch.setattr(monoid.Feasibility, "_search", no_search)
+        assert len(bifurcus_build(3, Fraction(7, 4)).records) == 3
+
+    # sha256 of staged_to_json, pinned before stages were grown from
+    # the last one
+    @pytest.mark.parametrize("num_stages, bound, digest", [
+        (3, Fraction(7, 4), "d015f77c8c502b6033135d6985ead614c3586c35844d6a8034a1c8a43263b914"),
+        (2, Fraction(5, 2), "17ca34d7de48a1049267c0493c27c82f227fc5c8f68569a894b5bbd702d82ae6"),
+        (4, Fraction(3, 2), "fc2e690046673c113949fa29d917d2c38c6d533cf6b83b2ca58caaa16df5c32f"),
+    ])
+    def test_towers_pinned(self, num_stages, bound, digest):
+        text = staged_to_json(bifurcus_build(num_stages, bound))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestBifurcusVerify:
@@ -191,6 +261,16 @@ class TestBifurcusVerify:
         v = bifurcus_verify(sm, Fraction(3, 2))
         assert not v.atoms_persist_ok and not v.passed
         assert v.lost_atoms == (Fraction(1, 5), Fraction(1, 3), Fraction(1, 2))
+
+    def test_reducibles_are_moved_to_the_next_scale(self):
+        # on stage 0's scale 10: 4 is 2/5, off stage 1's scale 6, and 10
+        # is 1 = 1/2 + 1/2
+        stages = (from_generators([Fraction(1, 5), Fraction(1, 2)]),
+                  from_generators([Fraction(1, 3), Fraction(1, 2)]))
+        sm = StagedMonoid(stages=stages, records=(StageRecord(1, ()),),
+                          value_bound=Fraction(3, 2), reducibles=((4, 10),))
+        assert bifurcus_verify(sm, Fraction(3, 2)).uncovered == ((1, Fraction(2, 5)),)
+        assert bifurcus_verify(sm, Fraction(1, 3)).uncovered == ()
 
     def test_lower_bound_also_verifies(self):
         sm = bifurcus_build(2, Fraction(3, 2))
@@ -225,6 +305,20 @@ class TestStagedSerialization:
         doc = staged_to_dict(bifurcus_build(1, Fraction(3, 2)))
         doc["schema"] = 99
         with pytest.raises(SpecValidationError, match="schema"):
+            staged_from_dict(doc)
+
+    @pytest.mark.parametrize("schema", [True, 1.0])
+    def test_rejects_schema_that_only_equals_one(self, schema):
+        doc = staged_to_dict(bifurcus_build(1, Fraction(3, 2)))
+        doc["schema"] = schema
+        with pytest.raises(SpecValidationError, match="must declare schema 1"):
+            staged_from_dict(doc)
+
+    @pytest.mark.parametrize("stage", [True, 1.0])
+    def test_rejects_stage_that_only_equals_one(self, stage):
+        doc = staged_to_dict(bifurcus_build(1, Fraction(3, 2)))
+        doc["stages"][0]["stage"] = stage
+        with pytest.raises(SpecValidationError, match="out of order at 1"):
             staged_from_dict(doc)
 
     def test_rejects_foreign_base(self):

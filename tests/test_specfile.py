@@ -199,6 +199,13 @@ class TestParseSpec:
         with pytest.raises(SpecValidationError, match="schema"):
             parse_spec('{"schema": 2, "families": []}')
 
+    @pytest.mark.parametrize("schema", ["true", "1.0"])
+    def test_schema_must_be_the_integer(self, schema):
+        # True == 1 == 1.0 in Python, so the gate compares the type too
+        with pytest.raises(SpecValidationError, match="unsupported schema"):
+            parse_spec('{"schema": ' + schema + ', "families": '
+                       '[{"kind": "explicit", "generators": ["1/2"]}]}')
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(SpecValidationError, match="unknown"):
             parse_spec('{"schema": 1, "families": '
