@@ -16,7 +16,11 @@ steadier than two separate benchmark runs.
 
 Printed: each op's median time over the rounds on both trees and the
 ratio checkout/rev, the summed medians, the quartiles of the per-round
-ratios checkout/rev of the summed op times, and whether every exit code,
+ratios checkout/rev of the summed op times; then the median time to
+compile() every .py of each tree, over as many rounds, alternating, and
+the quartiles of its per-round ratios (most of what a fresh process
+spends importing the package when no bytecode is cached); and whether
+every exit code,
 stdout and stderr matched (work-directory paths read alike).  An op
 that raises is recorded with the exception as its exit code, so one
 that raises in only one tree shows as a difference.  The exit code is 0 when every output matched,
@@ -120,14 +124,33 @@ def paired_quartiles(rounds) -> list[float]:
                                 method="inclusive")
 
 
+def compile_rounds(trees) -> list[tuple[float, float]]:
+    """(rev s, checkout s) to compile() every .py below each of the two
+    directories trees, one pair a round, the tree that goes first
+    alternating from round to round.  The sources are read once."""
+    sources = [[(str(path), path.read_text(encoding="utf-8"))
+                for path in sorted(Path(tree).rglob("*.py"))] for tree in trees]
+    rounds = []
+    for r in range(ROUNDS):
+        pair = [0.0, 0.0]
+        for side in ((0, 1) if r % 2 == 0 else (1, 0)):
+            start = time.perf_counter()
+            for path, text in sources[side]:
+                compile(text, path, "exec", dont_inherit=True)
+            pair[side] = time.perf_counter() - start
+        rounds.append(tuple(pair))
+    return rounds
+
+
 def compare(rev: str, workload: str, seed: int) -> dict:
     """{"ops": [(argv, rev median s, checkout median s)], "rounds": [(rev
-    s, checkout s) summed over the ops, one pair a round], "differ":
-    [argv]}."""
+    s, checkout s) summed over the ops, one pair a round], "compile":
+    compile_rounds of the two packages, "differ": [argv]}."""
     argvs, files = _ops(workload, seed)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         trees = [_import_base(rev, tmp / "rev"), _import_checkout()]
+        compiled = compile_rounds([tmp / "rev" / BASE_NAME, ROOT / "src" / "puiseux"])
         dirs = [_workdir(tmp / name, files) for name in ("w-rev", "w-checkout")]
         try:
             times = [[[], []] for _ in argvs]
@@ -149,6 +172,7 @@ def compare(rev: str, workload: str, seed: int) -> dict:
                     for argv, (a, b) in zip(argvs, times)],
             "rounds": [tuple(sum(op[side][r] for op in times) for side in (0, 1))
                        for r in range(ROUNDS)],
+            "compile": compiled,
             "differ": [argvs[i] for i in sorted(differ)]}
 
 
@@ -174,6 +198,11 @@ def main(argv=None) -> int:
     print(f"{base * 1e3:10.3f} {this * 1e3:10.3f} {this / base:7.3f}  total")
     q1, q2, q3 = paired_quartiles(result["rounds"])
     print(f"per-round total checkout/{args.rev} quartiles: {q1:.3f} {q2:.3f} {q3:.3f}")
+    base, this = (statistics.median(pair[side] for pair in result["compile"])
+                  for side in (0, 1))
+    print(f"{base * 1e3:10.3f} {this * 1e3:10.3f} {this / base:7.3f}  compile every .py")
+    q1, q2, q3 = paired_quartiles(result["compile"])
+    print(f"per-round compile checkout/{args.rev} quartiles: {q1:.3f} {q2:.3f} {q3:.3f}")
     if result["differ"]:
         print(f"outputs differ on {len(result['differ'])} of {len(result['ops'])} ops:")
         for op in result["differ"]:

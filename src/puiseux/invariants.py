@@ -92,12 +92,12 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import accumulate, compress
 
 from .errors import (DomainError, InsufficientMetadataError, NotAMemberError,
                      SpecValidationError)
 from .monoid import (Feasibility, TruncatedMonoid, WorkBudget, _as_budget,
-                     _coin_table, _private_moduli, is_primary, sweep)
+                     _coin_table, is_primary, sweep)
 from .factorization import FactorizationCounts, ResidueSteps
 from .primes import is_prime
 from .rationals import INFINITY, format_rational
@@ -177,6 +177,17 @@ def is_accepted(spec) -> bool | None:
     if meta.inf_attained is None or meta.sup_attained is None:
         return None
     return meta.inf_attained and meta.sup_attained
+
+
+def _private_moduli(values: list[int]) -> list[int]:
+    """For each i, r_i = values[i] // gcd(values[i], L_i), with L_i the
+    lcm of every other entry (1 for a single entry).  L_i is never
+    built: gcd(d, lcm(P, S)) = lcm(gcd(d, P), gcd(d, S)) for the prefix
+    and suffix lcms P and S, so only a small d meets the large ones."""
+    prefix = list(accumulate(values[:-1], math.lcm, initial=1))
+    suffix = list(accumulate(reversed(values[1:]), math.lcm, initial=1))[::-1]
+    return [d // math.lcm(math.gcd(d, p), math.gcd(d, s))
+            for d, p, s in zip(values, prefix, suffix)]
 
 
 def _integer_table(tm: TruncatedMonoid, f: Fraction, for_plot: bool = False):

@@ -10,25 +10,7 @@ Membership uses a depth-first search over multiplicities with gcd and
 smallest-coin pruning (lengths are bounded by x / min-atom, so the
 search is finite).  Atom reduction is one pass of that search: a
 generator is dropped when it is a combination of the generators below
-it, and all the queries share one memo.  A query that the gcd test
-leaves open first asks a denominator certificate, which proves many
-generators atoms without searching:
-
-    Let g = n_g/d (in lowest terms) be a generator with exactly one
-    generator h = n_h/d below it of the same denominator.  Let L be
-    the lcm of the other distinct denominators of the generators, and
-    r = d / gcd(d, L).  Suppose g is a combination of the generators
-    below it: g = c*h + rest, with c >= 0 and rest a combination of
-    generators below g other than h.  Their denominators divide L, so
-    (g - c*h)*L = (n_g - c*n_h)*L/d is an integer, and r divides
-    n_g - c*n_h.  As n_h is prime to d, hence to r, c = c0 (mod r)
-    for c0 = n_g * n_h^-1 mod r, so c >= c0 and g >= c*h >= c0*h.
-    Hence c0*h > g proves g an atom.  With r = 1, c0 is 0 and nothing
-    is proved; with two generators of denominator d below g, c is
-    bound to no single residue, so the certificate is not asked.
-
-r is read off _private_moduli over the distinct denominators, built
-once, on the first query that asks; nothing is factored.
+it, and all the queries share one memo.
 
 Everything below a bound comes from one sweep: a sparse coin-change
 table, grown in place one atom at a time, that holds the shortest and
@@ -47,7 +29,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate
 
 from .errors import DomainError, ResourceCapError, SpecValidationError
 from .primes import is_prime
@@ -174,79 +155,20 @@ class Feasibility:
         return False
 
 
-def _private_moduli(values: list[int]) -> list[int]:
-    """For each i, r_i = values[i] // gcd(values[i], L_i), with L_i the
-    lcm of every other entry (1 for a single entry).  L_i is never
-    built: gcd(d, lcm(P, S)) = lcm(gcd(d, P), gcd(d, S)) for the prefix
-    and suffix lcms P and S, so only a small d meets the large ones."""
-    prefix = list(accumulate(values[:-1], math.lcm, initial=1))
-    suffix = list(accumulate(reversed(values[1:]), math.lcm, initial=1))[::-1]
-    return [d // math.lcm(math.gcd(d, p), math.gcd(d, s))
-            for d, p, s in zip(values, prefix, suffix)]
-
-
-class _DenominatorCertificate:
-    """The denominator certificate of the module docstring for the
-    distinct scaled generators coins, descending, and by_scaled, which
-    maps each to its generator.  Built on the first query, so a
-    reduction that asks none pays nothing."""
-
-    def __init__(self, coins: list[int], by_scaled: dict[int, Fraction]):
-        self.coins, self.by_scaled = coins, by_scaled
-        self.pairs = None
-
-    def _build(self):
-        # pairs maps the index of the second least generator of each
-        # denominator to the denominator's place among the distinct
-        # ones and the index of its least generator
-        self.gens = [self.by_scaled[s] for s in self.coins]
-        place, least, self.pairs = {}, {}, {}
-        for k in range(len(self.gens) - 1, -1, -1):  # ascending
-            d = self.gens[k].denominator
-            if d not in place:
-                place[d] = len(place)
-                least[d] = k
-            elif d in least:
-                self.pairs[k] = (place[d], least.pop(d))
-        self.moduli = _private_moduli(list(place))  # d / gcd(d, L)
-
-    def proves_atom(self, k: int) -> bool:
-        if self.pairs is None:
-            self._build()
-        pair = self.pairs.get(k)
-        if pair is None:
-            return False
-        i, j = pair
-        g, h, r = self.gens[k], self.gens[j], self.moduli[i]
-        c0 = g.numerator * pow(h.numerator, -1, r) % r
-        return c0 * h.numerator > g.numerator
-
-
-def _reduce_to_atoms(by_scaled: dict[int, Fraction]) -> list[int]:
-    """The scaled generators that are not a sum of two nonzero elements
-    of the monoid they generate, ascending; by_scaled maps each distinct
-    scaled generator to its generator.
+def _reduce_to_atoms(scaled) -> list[int]:
+    """The distinct scaled generators in scaled that are not a sum of
+    two nonzero elements of the monoid they generate, ascending.
 
     A generator g splits exactly when it is a nonnegative combination
     of the generators strictly below it, so this is one feasibility
     query per generator on the coins after it, all sharing one memo and
-    one default budget.  A query the gcd test leaves open asks the
-    denominator certificate before it searches.
+    one default budget.
     """
-    coins = sorted(by_scaled, reverse=True)
+    coins = sorted(scaled, reverse=True)
     oracle, budget = Feasibility(tuple(coins)), _as_budget()
-    certificate = _DenominatorCertificate(coins, by_scaled)
     least_sum = 2 * coins[-1]  # nothing below the sum of two generators splits
-    atoms = []
-    for k, s in enumerate(coins):
-        if s >= least_sum:
-            split = oracle._settled(k + 1, s)
-            if split is None:
-                split = (not certificate.proves_atom(k)
-                         and oracle._search(k + 1, s, budget))
-            if split:
-                continue
-        atoms.append(s)
+    atoms = [s for k, s in enumerate(coins)
+             if s < least_sum or not oracle.check(k + 1, s, budget)]
     atoms.reverse()
     return atoms
 
@@ -287,7 +209,7 @@ def truncate(spec, depth: int) -> TruncatedMonoid:
     families yield unstable atoms.
     """
     if any(f.kind == "symbolic" for f in spec.families):
-        if not isinstance(depth, int) or depth < 1:
+        if not isinstance(depth, int) or isinstance(depth, bool) or depth < 1:
             raise DomainError(f"depth must be a positive integer, got {depth!r}")
     gens, stable = [], []
     for fam in spec.families:

@@ -312,10 +312,21 @@ FUZZ_COMMANDS = {"atoms": (), "classify": (), "status": (),
 FUZZ_VALUES = ("0", "1", "3/2", "2", "1/2", "-1", "1/0", "x", "", "1.5", HUGE,
                "1/" + HUGE, "9" * 5001, "\udcff\udcfe")
 FUZZ_DEPTHS = ("1", "2", "3", "0", "-2", "x", HUGE, "9" * 5001, "\udcff")
-# wrong types and huge integers for any field; an index past sys.maxsize
-# is refused at once, where a large one below it would list that many primes
+
+
+def _nested(levels):
+    """levels of lists and dicts, alternating, around one string."""
+    value = "n"
+    for i in range(levels):
+        value = [value] if i % 2 else {"n": value}
+    return value
+
+
+# wrong types, huge integers and deep nesting for any field; an index past
+# sys.maxsize is refused at once, where a large one below it would list
+# that many primes
 FUZZ_JUNK = (None, True, 1.5, -1, 0, "", "x", [], {}, "1/0", "-3/4", 10**40, -10**40,
-             HUGE, "1/" + HUGE, [[[[["n"]]]]])
+             HUGE, "1/" + HUGE, [[[[["n"]]]]], _nested(40))
 FUZZ_DOCS = tuple(json.loads(spec_to_json(constructions.catalog(name, 3)))
                   for name in constructions.CATALOG_NAMES)
 

@@ -23,7 +23,7 @@ from puiseux.invariants import (bf_ff_status, decompose_stable_unstable,
                                 elasticity_witnesses, is_accepted,
                                 monoid_elasticity, predicted_elasticities,
                                 shifted_lengths, StatusReport, _integer_table,
-                                _spec_is_primary, _stable_parts)
+                                _private_moduli, _spec_is_primary, _stable_parts)
 from puiseux.monoid import (TruncatedMonoid, WorkBudget, contains,
                             from_generators, sweep, truncate)
 from puiseux.rationals import INFINITY, format_rational
@@ -259,6 +259,13 @@ class TestPrimaryScans:
         values = elasticity_set(tm, 25)
         assert values == swept_set(tm, 25) and len(values) == 158
         assert elasticity_witnesses(tm, 25) == swept_witnesses(tm, 25)
+
+    @given(st.lists(st.integers(1, 10**12), max_size=8))
+    @example([12, 18, 5])  # r = [2, 3, 5]: 12 keeps its 4, 18 its 9
+    def test_private_moduli(self, values):
+        assert _private_moduli(values) == [
+            d // math.gcd(d, math.lcm(*values[:i], *values[i + 1:]))
+            for i, d in enumerate(values)]
 
     def test_which_inputs_take_the_residue_table(self):
         tm = from_generators(HALF_THIRD)

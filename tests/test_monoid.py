@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -9,15 +8,34 @@ from oracles import (brute_atoms, brute_coin_table, brute_elements,
                      brute_factorizations)
 from puiseux.constructions import catalog
 from puiseux.errors import (DomainError, ResourceCapError, SpecValidationError)
-from puiseux.monoid import (TruncatedMonoid, WorkBudget, _DenominatorCertificate,
-                            _coin_table, _private_moduli, classify_stability,
-                            contains, elements_up_to, from_generators, is_primary,
-                            sweep, truncate)
+from puiseux.monoid import (TruncatedMonoid, WorkBudget, _coin_table,
+                            classify_stability, contains, elements_up_to,
+                            from_generators, is_primary, sweep, truncate)
 from puiseux.specfile import parse_spec
 
 small_gens = st.lists(
     st.builds(Fraction, st.integers(1, 10), st.integers(1, 10)),
     min_size=1, max_size=4, unique=True)
+
+
+@st.composite
+def pair_shaped_gens(draw):
+    """1/3 and 1/2 with pairs a/2 -/+ 1/p adjoined, as the bifurcus
+    construction makes them: few small primes, so that pairs share
+    denominators, and lows of at least 1/6, so that brute force stays
+    quick; then up to two multiples of them of at most 2."""
+    gens = {Fraction(1, 3), Fraction(1, 2)}
+    for _ in range(draw(st.integers(1, 4))):
+        a = draw(st.builds(Fraction, st.integers(1, 8), st.integers(2, 4)))
+        p = draw(st.sampled_from([5, 7, 11]))
+        if a / 2 - Fraction(1, p) >= Fraction(1, 6):
+            gens |= {a / 2 - Fraction(1, p), a / 2 + Fraction(1, p)}
+    ordered = sorted(gens)
+    for _ in range(draw(st.integers(0, 2))):
+        m = draw(st.sampled_from(ordered)) * draw(st.integers(2, 3))
+        if m <= 2:
+            gens.add(m)
+    return sorted(gens)
 
 
 class TestFromGenerators:
@@ -47,81 +65,27 @@ class TestFromGenerators:
     def test_atoms_match_brute_force(self, gens):
         assert list(from_generators(gens).atoms) == brute_atoms(gens)
 
-
-def _proves_atom(gens, g):
-    """What the denominator certificate says of generator g among gens."""
-    D = math.lcm(*(x.denominator for x in gens))
-    by_scaled = {x.numerator * (D // x.denominator): x for x in gens}
-    coins = sorted(by_scaled, reverse=True)
-    return _DenominatorCertificate(coins, by_scaled).proves_atom(coins.index(g * D))
-
-
-@st.composite
-def pair_shaped_gens(draw):
-    """1/3 and 1/2 with pairs a/2 -/+ 1/p adjoined, as the bifurcus
-    construction makes them: few small primes, so that pairs share
-    denominators, and lows of at least 1/6, so that brute force stays
-    quick; then up to two multiples of them of at most 2."""
-    gens = {Fraction(1, 3), Fraction(1, 2)}
-    for _ in range(draw(st.integers(1, 4))):
-        a = draw(st.builds(Fraction, st.integers(1, 8), st.integers(2, 4)))
-        p = draw(st.sampled_from([5, 7, 11]))
-        if a / 2 - Fraction(1, p) >= Fraction(1, 6):
-            gens |= {a / 2 - Fraction(1, p), a / 2 + Fraction(1, p)}
-    ordered = sorted(gens)
-    for _ in range(draw(st.integers(0, 2))):
-        m = draw(st.sampled_from(ordered)) * draw(st.integers(2, 3))
-        if m <= 2:
-            gens.add(m)
-    return sorted(gens)
-
-
-class TestDenominatorCertificate:
-    # 4/7 is no combination of 3/7 and 1/3 (or 1/2): 4/7 = c*(3/7) + rest
-    # with rest's denominator dividing 6 needs c = 6 (mod 7)
-    @pytest.mark.parametrize("gens", [["1/3", "3/7", "4/7"],   # no coin between
-                                      ["3/7", "1/2", "4/7"]])  # 1/2 between
-    def test_proves_the_second_of_a_denominator(self, gens):
-        gens = [Fraction(g) for g in gens]
-        assert _proves_atom(gens, Fraction(4, 7))
-        assert Fraction(4, 7) in from_generators(gens).atoms
-
-    def test_r_one_proves_nothing(self):
-        # 14 is a multiple of 7, so r = 1 and c0 = 0 (c0 is 0 only when
-        # r is 1, as n_g is prime to the denominator);
+    # generators two of which share a denominator
+    @pytest.mark.parametrize("gens, atoms", [
+        # 4/7 is no combination of 3/7 and 1/3 (or 1/2): 4/7 = c*(3/7) + rest
+        # with rest's denominator dividing 6 needs c = 6 (mod 7)
+        (["1/3", "3/7", "4/7"], ["1/3", "3/7", "4/7"]),  # no coin between
+        (["3/7", "1/2", "4/7"], ["3/7", "1/2", "4/7"]),  # 1/2 between
         # 5/7 = 2 * (1/7) + 2 * (3/14)
-        gens = [Fraction(1, 7), Fraction(3, 14), Fraction(5, 7)]
-        assert not _proves_atom(gens, Fraction(5, 7))
-        assert from_generators(gens).atoms == (Fraction(1, 7), Fraction(3, 14))
-
-    def test_c0_times_h_equal_to_g_proves_nothing(self):
-        # c0 = 2 and 2 * (1/7) is 2/7 itself
-        gens = [Fraction(1, 7), Fraction(2, 7), Fraction(1, 2)]
-        assert not _proves_atom(gens, Fraction(2, 7))
-        assert from_generators(gens).atoms == (Fraction(1, 7), Fraction(1, 2))
-
-    def test_two_of_the_denominator_below_is_no_certificate(self):
-        # 5/7 = 2/7 + 3/7; either one alone as h would give c0*h > g
-        gens = [Fraction(2, 7), Fraction(3, 7), Fraction(5, 7)]
-        assert not _proves_atom(gens, Fraction(5, 7))
-        assert from_generators(gens).atoms == (Fraction(2, 7), Fraction(3, 7))
-
-    @given(st.lists(st.integers(1, 10**12), max_size=8))
-    @example([12, 18, 5])  # r = [2, 3, 5]: 12 keeps its 4, 18 its 9
-    def test_private_moduli(self, values):
-        assert _private_moduli(values) == [
-            d // math.gcd(d, math.lcm(*values[:i], *values[i + 1:]))
-            for i, d in enumerate(values)]
-
-    def test_least_of_a_denominator_is_no_certificate(self):
-        gens = [Fraction(1, 3), Fraction(3, 7), Fraction(4, 7)]
-        assert not _proves_atom(gens, Fraction(3, 7))
+        (["1/7", "3/14", "5/7"], ["1/7", "3/14"]),
+        # 2/7 = 2 * (1/7)
+        (["1/7", "2/7", "1/2"], ["1/7", "1/2"]),
+        # 5/7 = 2/7 + 3/7
+        (["2/7", "3/7", "5/7"], ["2/7", "3/7"]),
+    ])
+    def test_shared_denominators(self, gens, atoms):
+        assert from_generators([Fraction(g) for g in gens]).atoms == tuple(
+            Fraction(a) for a in atoms)
 
     @given(pair_shaped_gens())
-    # 2/3 = 2 * (1/3) with c0 = 2: a certificate on c0*h >= g drops it
+    # 2/3 = 2 * (1/3), below the pair 57/104 and 73/104
     @example([Fraction(g) for g in ("1/3", "1/2", "57/104", "2/3", "73/104")])
-    # two pairs of denominator 52: 35/52 = 2 * (9/52) + 17/52, so a
-    # certificate for the third of a denominator, h the least, drops it
+    # two pairs of denominator 52: 35/52 = 2 * (9/52) + 17/52
     @example([Fraction(g) for g in ("9/52", "17/52", "1/3", "1/2", "35/52", "43/52")])
     @settings(max_examples=200, deadline=None)
     def test_pair_shaped_atoms_match_brute_force(self, gens):
@@ -276,12 +240,17 @@ class TestTruncate:
         spec = catalog("primarydense", 5)
         with pytest.raises(DomainError):
             truncate(spec, 0)
+        with pytest.raises(DomainError,
+                           match="depth must be a positive integer, got True"):
+            truncate(spec, True)
 
-    def test_cross_family_reduction(self):
+    @pytest.mark.parametrize("depth", [3, 8, 60, 400])
+    def test_cross_family_reduction(self, depth):
         # the numerator-n-plus-one family member 2/p_1 collapses onto
-        # 2 * (1/p_1), so depth 3 leaves five atoms, not six
-        tm = truncate(catalog("unstablenotbf", 3), 3)
-        assert len(tm.atoms) == 5
+        # 2 * (1/p_1), so depth d leaves 2d - 1 atoms, not 2d (five at
+        # depth 3); d of the 2d generators are left to the search
+        tm = truncate(catalog("unstablenotbf", depth), depth)
+        assert len(tm.atoms) == 2 * depth - 1
         p1 = min(a.denominator for a in tm.atoms)
         assert Fraction(1, p1) in tm.atoms
         assert Fraction(2, p1) not in tm.atoms
