@@ -13,12 +13,13 @@ prime): stable atoms share their numerator with infinitely many other
 family members, unstable ones do not, and elements split as stable +
 unstable parts with a uniquely factorable stable part.
 
-Elasticity scans (elasticity_set, elasticity_witnesses) and plot
-(plot_points) of a truncation with k >= 2 atoms a_i = n_i/d_i, in
-lowest terms, mostly build no element table.  Let L_i be the lcm of
-the other atoms' denominators, r_i = d_i/gcd(d_i, L_i),
-g_i = d_i/r_i, D' = lcm g_i and D the lcm of all d_i.  Primary truncations (d_i = p_i distinct primes)
-and pairwise coprime denominators have r_i = d_i and D' = 1.
+elasticity_set and plot (plot_points) read one coin table, of the
+residue lemma below; elasticity_witnesses reads none, as its witnesses
+have a closed form.  For a truncation with k >= 2 atoms a_i = n_i/d_i,
+in lowest terms, let L_i be the lcm of the other atoms' denominators,
+r_i = d_i/gcd(d_i, L_i), g_i = d_i/r_i, D' = lcm g_i and D the lcm of
+all d_i.  Primary truncations (d_i = p_i distinct primes) and pairwise
+coprime denominators have r_i = d_i and D' = 1.
 
     Residue lemma.  Let c be a factorization of x, so x = sum c_j*a_j.
     Each d_j with j != i divides L_i, so x*L_i = c_i*n_i*(L_i/g_i)/r_i
@@ -48,19 +49,14 @@ and pairwise coprime denominators have r_i = d_i and D' = 1.
     first atom of which no copy fits, as no copy of a later, larger
     atom fits either.  So the elasticities of the nonzero elements up
     to B are (|rho| + X(M))/(|rho| + m(M)) for M <= B in <n_i/g_i> and
-    0 <= |rho| <= rhomax(B - M), without |rho| = M = 0.  Any length l
-    of x has l*a_min <= x <= l*a_max, so its elasticity reaches
-    a_max/a_min only when x/a_min and x/a_max are lengths of x: then
-    one factorization uses a_min alone, so rho_j = 0 for every j but
-    min, and another a_max alone, so rho_min = 0.  Hence rho = 0: the
-    witnesses are the M with X(M)/m(M) = a_max/a_min.
+    0 <= |rho| <= rhomax(B - M), without |rho| = M = 0.
 
     Volume bound.  The sweep takes one step per c >= 0 with
     sum c_i*a_i <= B.  The unit cubes c + [0, 1)^k are disjoint and lie
     in the simplex y >= 0, sum y_i*a_i <= B + sum a_i, of volume
     U = (B + sum a)^k / (k! * prod a).  So when U is at most the
     default sweep budget the sweep could not have raised, and the
-    integer table, whose combinations t are the sweep's c = r*t,
+    residue table, whose combinations t are the sweep's c = r*t,
     cannot raise either.
 
     Plot lemmas.  Let D' = 1 and every r_i >= 2, so M is an integer
@@ -79,11 +75,12 @@ and pairwise coprime denominators have r_i = d_i and D' = 1.
     Likewise x is an integer iff rho = 0.  So integer-element is
     |rho| = 0, shifted-element is |rho| = 1, and other the rest.
 
-Only under the volume bound, and when some r_i > 1 (else the table is
-the sweep's), do the scans take this path, and plot only within the
-scope of its lemmas and without --all; for any other truncation, bound
-or budget they read the sweep, so every answer and every error is the
-sweep's.
+One decision, _moduli, gives (r, D'): the moduli above when k >= 2 and
+the bound passes the volume bound, else r = (1, ..., 1) and D' = D,
+whose table is the sweep's own, error included.  elasticity_set reads
+it by the greedy lemma; plot reads it within the scope of its lemmas
+and without --all, and the sweep otherwise.  So every answer and every
+error is the sweep's.
 """
 
 from __future__ import annotations
@@ -190,40 +187,48 @@ def _private_moduli(values: list[int]) -> list[int]:
             for d, p, s in zip(values, prefix, suffix)]
 
 
-def _integer_table(tm: TruncatedMonoid, f: Fraction, for_plot: bool = False):
-    """(r, D', table): the moduli r_i, parallel to tm.atoms, the scale
-    D' and the (m(M), X(M), N(M)) table of the module docstring, keyed
-    by M*D' for every M <= f in <r_i*a_i>, ascending, when tm has two
-    or more atoms, some r_i > 1 and f passes the volume bound; else
-    None.  for_plot also asks for the scope of the plot lemmas: D' = 1
-    and every r_i > 1."""
+def _sweep_fits(tm: TruncatedMonoid, f: Fraction) -> bool:
+    """Whether f >= 0 passes the volume bound of the module docstring,
+    U <= the default budget, so that the sweep up to f cannot raise."""
+    # on integers: f = p/q, and a_i = s_i/D for the scaled atoms s_i,
+    # so D^k cancels
+    k, p, q = len(tm.atoms), f.numerator, f.denominator
+    return f >= 0 and ((p * tm.denom_lcm + sum(tm.scaled_gens) * q) ** k
+                       <= _as_budget().limit * math.factorial(k)
+                       * math.prod(tm.scaled_gens) * q ** k)
+
+
+def _moduli(tm: TruncatedMonoid, f: Fraction) -> tuple[list[int], int]:
+    """(r, D'): the moduli r_i, parallel to tm.atoms, and the scale D'
+    of the residue lemma when tm has two or more atoms and f passes the
+    volume bound; else r = (1, ..., 1) and D' = D, whose table is the
+    sweep's.  A negative f raises the sweep's error."""
+    if f < 0:
+        raise DomainError("bound must be nonnegative")
     k = len(tm.atoms)
-    if f < 0 or k < 2:
-        return None
+    if k < 2 or not _sweep_fits(tm, f):
+        return [1] * k, tm.denom_lcm
     dens = [a.denominator for a in tm.atoms]
     r = _private_moduli(dens)
-    Dp = math.lcm(*(d // m for d, m in zip(dens, r)))
-    if max(r) == 1 or for_plot and (Dp > 1 or min(r) == 1):
-        return None
-    # U <= the budget, on integers: f = p/q, and a_i = s_i/D for the
-    # scaled atoms s_i, so D^k cancels
-    budget, p, q = _as_budget(), f.numerator, f.denominator
-    if ((p * tm.denom_lcm + sum(tm.scaled_gens) * q) ** k
-            > budget.limit * math.factorial(k) * math.prod(tm.scaled_gens) * q ** k):
-        return None
+    return r, math.lcm(*(d // m for d, m in zip(dens, r)))
+
+
+def _residue_table(tm: TruncatedMonoid, f: Fraction, r: list[int], Dp: int) -> dict:
+    """The (m(M), X(M), N(M)) table of the module docstring, keyed by
+    M*D' for every M <= f in <r_i*a_i>, ascending."""
     coins = sorted(((a.numerator * Dp // (a.denominator // m), m)
                     for a, m in zip(tm.atoms, r)), reverse=True)
-    return r, Dp, _coin_table(coins, math.floor(f * Dp), budget)
+    return _coin_table(coins, math.floor(f * Dp), _as_budget())
 
 
-def _rho_max(tm: TruncatedMonoid, r: list[int], room: int) -> int:
+def _rho_max(items: list[tuple[int, int]], room: int) -> int:
     """rhomax of the module docstring for W = room/D, by the greedy
-    lemma; an atom with r_i = 1 has no item to give."""
+    lemma, from the (s_i, r_i - 1) of the atoms with r_i > 1."""
     rho = 0
-    for s, m in zip(tm.scaled_gens, r):
+    for s, most in items:
         if room < s:
             break
-        c = min(m - 1, room // s)
+        c = min(most, room // s)
         rho += c
         room -= c * s
     return rho
@@ -232,40 +237,34 @@ def _rho_max(tm: TruncatedMonoid, r: list[int], room: int) -> int:
 def elasticity_set(tm: TruncatedMonoid, bound) -> list[Fraction]:
     """Sorted distinct elasticities of the nonzero elements up to bound."""
     f = bound if isinstance(bound, Fraction) else Fraction(bound)
-    found = _integer_table(tm, f)
-    if found is None:
-        pairs = {(lo, hi) for lo, hi, _n in sweep(tm, f).values() if lo}
-    else:
-        r, Dp, table = found
+    r, Dp = _moduli(tm, f)
+    table = _residue_table(tm, f, r, Dp)
+    # |rho| = 0 gives M's own lengths; each |rho| up to rhomax(B - M)
+    # adds to both, and only an atom with r_i > 1 has items
+    pairs = {(m, X) for m, X, _n in table.values() if m}
+    items = [(s, m - 1) for s, m in zip(tm.scaled_gens, r) if m > 1]
+    if items:
         q, top = tm.denom_lcm // Dp, math.floor(f * tm.denom_lcm)
-        pairs = {(lo, lo + X - m) for M, (m, X, _n) in table.items()
-                 for lo in range(m or 1, m + _rho_max(tm, r, top - M * q) + 1)}
+        pairs.update((m + rho, X + rho) for M, (m, X, _n) in table.items()
+                     for rho in range(1, _rho_max(items, top - M * q) + 1))
     return sorted({Fraction(hi, lo) for lo, hi in pairs})
 
 
 def elasticity_witnesses(tm: TruncatedMonoid, bound) -> list[Fraction]:
-    """All nonzero x <= bound with elasticity equal to the monoid's.
-
-    Machine-checks on the way out that every witness is an integer
-    multiple of both the smallest and the largest atom.
-    """
-    rho = tm.max_atom / tm.min_atom
-    num, den = rho.numerator, rho.denominator
+    """All nonzero x <= bound with elasticity equal to the monoid's,
+    ascending: the positive multiples of lcm(a_min, a_max)
+    = lcm(n_min, n_max)/gcd(d_min, d_max).  A length l of x has
+    l*a_min <= x <= l*a_max, so x reaches a_max/a_min exactly when
+    x/a_min and x/a_max are lengths of x, that is, when a_min alone and
+    a_max alone factor x.  Past the volume bound (module docstring) the
+    sweep runs first, so it raises where the sweep raises."""
     f = bound if isinstance(bound, Fraction) else Fraction(bound)
-    found = _integer_table(tm, f)
-    if found is None:
-        out = [tm.unscale(v) for v, (lo, hi, _n) in sweep(tm, f).items()
-               if lo and hi * den == lo * num]
-    else:
-        _r, Dp, table = found
-        out = [Fraction(M, Dp) for M, (m, X, _n) in table.items()
-               if M and X * den == m * num]
-    for x in out:
-        assert (x / tm.min_atom).denominator == 1, \
-            f"witness {x} is not an integer multiple of the min atom"
-        assert (x / tm.max_atom).denominator == 1, \
-            f"witness {x} is not an integer multiple of the max atom"
-    return out
+    if not _sweep_fits(tm, f):
+        sweep(tm, f)
+    lo, hi = tm.min_atom, tm.max_atom
+    step = Fraction(math.lcm(lo.numerator, hi.numerator),
+                    math.gcd(lo.denominator, hi.denominator))
+    return [step * i for i in range(1, f // step + 1)]
 
 
 def _swept_marker(tm: TruncatedMonoid, v: int, table: dict) -> str:
@@ -292,8 +291,8 @@ def plot_points(tm: TruncatedMonoid, bound, cap, every: bool = False):
     without every, the points come from the residue table; otherwise
     from the sweep, whose budget error they raise."""
     f = bound if isinstance(bound, Fraction) else Fraction(bound)
-    found = None if every else _integer_table(tm, f, for_plot=True)
-    if found is None:
+    r, Dp = _moduli(tm, f)
+    if every or Dp > 1 or min(r) == 1:
         table, points, limit = sweep(tm, f), [], None
         for v, (lo, hi, n) in table.items():
             if not v:
@@ -305,7 +304,7 @@ def plot_points(tm: TruncatedMonoid, bound, cap, every: bool = False):
             if lo != hi or every:
                 points.append((v, lo, hi, _swept_marker(tm, v, table)))
         return points, None
-    r, _Dp, table = found
+    table = _residue_table(tm, f, r, Dp)
     D = tm.denom_lcm
     top, capped = math.floor(f * D), None
     if f >= tm.min_atom:

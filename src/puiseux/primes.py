@@ -194,12 +194,6 @@ class PrimeFilter:
             return p >= self.min_bound
         return True
 
-    def nth(self, n: int) -> int:
-        """1-indexed n-th admitted prime."""
-        if n < 1:
-            raise DomainError(f"prime index must be >= 1, got {n}")
-        return prime_seq(self, n, n - 1)[0]
-
 
 def prime_seq(filt, count: int, skip: int = 0) -> list[int]:
     """The first count admitted primes, less the first skip, ascending."""

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from puiseux import cli, monoid
+from puiseux import cli, invariants, monoid
 from puiseux.constructions import catalog
 from puiseux.errors import (DomainError, InsufficientMetadataError,
                             NotAMemberError, ResourceCapError)
@@ -21,9 +21,10 @@ from puiseux.factorization import DEFAULT_CAP, factorizations, length_set
 from puiseux.invariants import (bf_ff_status, decompose_stable_unstable,
                                 density_witness, elasticity_set,
                                 elasticity_witnesses, is_accepted,
-                                monoid_elasticity, predicted_elasticities,
-                                shifted_lengths, StatusReport, _integer_table,
-                                _private_moduli, _spec_is_primary, _stable_parts)
+                                monoid_elasticity, plot_points,
+                                predicted_elasticities, shifted_lengths,
+                                StatusReport, _moduli, _private_moduli,
+                                _residue_table, _spec_is_primary, _stable_parts)
 from puiseux.monoid import (TruncatedMonoid, WorkBudget, contains,
                             from_generators, sweep, truncate)
 from puiseux.rationals import INFINITY, format_rational
@@ -216,8 +217,8 @@ VOLUME_BUDGET = 10_800
 
 
 class TestPrimaryScans:
-    """The residue-table path of elasticity_set and elasticity_witnesses
-    against the sweep, which the other truncations still read."""
+    """elasticity_set from the residue table, and elasticity_witnesses
+    in closed form, against the sweep."""
 
     @given(st.one_of(primary_atoms(), pairwise_coprime_atoms(), any_gens),
            st.builds(Fraction, st.integers(0, 40), st.integers(1, 4)))
@@ -255,7 +256,7 @@ class TestPrimaryScans:
         # the greedy count walks on past 19/30 and 11/15 to 5/4; stopping
         # at them loses 9 of the 158 elasticities
         tm = from_generators(NO_ITEM_ATOMS)
-        assert _integer_table(tm, Fraction(25)) is not None
+        assert _moduli(tm, Fraction(25)) == ([5, 1, 1, 2], 30)
         values = elasticity_set(tm, 25)
         assert values == swept_set(tm, 25) and len(values) == 158
         assert elasticity_witnesses(tm, 25) == swept_witnesses(tm, 25)
@@ -268,24 +269,61 @@ class TestPrimaryScans:
             for i, d in enumerate(values)]
 
     def test_which_inputs_take_the_residue_table(self):
+        # (r, D'), the atoms ascending: 1/3 has r = 3, 1/2 has r = 2; past
+        # the volume bound, and with one atom, the sweep's (1, ..., 1) and D
         tm = from_generators(HALF_THIRD)
         with patch.object(monoid, "_DEFAULT_BUDGET", VOLUME_BUDGET):
-            assert _integer_table(tm, AT_VOLUME_BOUND) is not None
-            assert _integer_table(tm, AT_VOLUME_BOUND + Fraction(1, 600)) is None
-            assert _integer_table(tm, Fraction(-1)) is None
-        assert _integer_table(from_generators([Fraction(3, 7)]), Fraction(5)) is None
+            assert _moduli(tm, AT_VOLUME_BOUND) == ([3, 2], 1)
+            assert _moduli(tm, AT_VOLUME_BOUND + Fraction(1, 600)) == ([1, 1], 6)
+            with pytest.raises(DomainError, match="^bound must be nonnegative$"):
+                _moduli(tm, Fraction(-1))
+        assert _moduli(from_generators([Fraction(3, 7)]), Fraction(5)) == ([1], 7)
         one_atom = from_generators([Fraction(1, 2), Fraction(1, 4)])
-        assert _integer_table(one_atom, Fraction(1)) is None
+        assert _moduli(one_atom, Fraction(1)) == ([1], 4)
         every_r_is_1 = from_generators([Fraction(5, 6), Fraction(7, 10), Fraction(11, 15)])
-        assert _integer_table(every_r_is_1, Fraction(3)) is None
-        # (r, D', table), the atoms ascending: 1/3 has r = 3, 1/2 has r = 2
-        assert _integer_table(tm, Fraction(1, 4)) == ([3, 2], 1, {0: (0, 0, 1)})
-        assert _integer_table(tm, Fraction(1), for_plot=True) == (
-            [3, 2], 1, {0: (0, 0, 1), 1: (2, 3, 2)})
+        assert _moduli(every_r_is_1, Fraction(3)) == ([1, 1, 1], 30)
+        assert _residue_table(tm, Fraction(1, 4), [3, 2], 1) == {0: (0, 0, 1)}
+        assert _moduli(tm, Fraction(1)) == ([3, 2], 1)
+        assert _residue_table(tm, Fraction(1), [3, 2], 1) == {
+            0: (0, 0, 1), 1: (2, 3, 2)}
+        assert not plot_sweeps(tm, Fraction(1))
         shared = from_generators(NO_ITEM_ATOMS)
-        r, Dp, _table = _integer_table(shared, Fraction(3))
-        assert (r, Dp) == ([5, 1, 1, 2], 30)
-        assert _integer_table(shared, Fraction(3), for_plot=True) is None
+        assert _moduli(shared, Fraction(3)) == ([5, 1, 1, 2], 30)
+        assert plot_sweeps(shared, Fraction(3))
+
+    @pytest.mark.parametrize("name, depth, bound", [("primarydense", 8, 4),
+                                                    ("bfplot", 6, 10)])
+    def test_witnesses_build_no_table(self, monkeypatch, tmp_path, capsys,
+                                      name, depth, bound):
+        # within the volume bound the witnesses are the common multiples
+        # of the extreme atoms, read off no table
+        spec = str(tmp_path / f"{name}.json")
+        assert cli.main(["catalog", "--name", name, "--depth", str(depth),
+                         "--out", spec]) == 0
+        argv = ["witnesses", "--spec", spec, "--depth", str(depth), "--bound", str(bound)]
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        expected = capsys.readouterr().out
+
+        def no_table(*_args, **_kwargs):
+            raise AssertionError("elasticity_witnesses built a table")
+        monkeypatch.setattr(invariants, "_coin_table", no_table)
+        monkeypatch.setattr(invariants, "sweep", no_table)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+
+def plot_sweeps(tm, bound):
+    """Whether plot_points without every reads the sweep, that is,
+    whether tm and bound lie outside the scope of the plot lemmas."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+    with patch.object(invariants, "sweep", counted):
+        plot_points(tm, bound, lambda: DEFAULT_CAP)
+    return bool(calls)
 
 
 def swept_plot(tm, bound, cap, decimal):
@@ -327,11 +365,15 @@ class TestPlotRows:
     truncations) against rows built from the sweep."""
 
     @given(st.one_of(primary_atoms(max_size=4, max_numerator=12, primes=PRIMES_TO_31[:6]),
-                     pairwise_coprime_atoms(max_size=4, max_value=12)),
+                     pairwise_coprime_atoms(max_size=4, max_value=12), any_gens),
            st.builds(Fraction, st.integers(0, 24), st.integers(1, 4)),
            st.one_of(st.none(), st.integers(1, 5)), st.booleans())
     @example(HALF_THIRD, Fraction(4), 2, False)
     @example([Fraction(1, 2), Fraction(2, 3), Fraction(3, 5)], Fraction(5), None, True)
+    @example(NO_ITEM_ATOMS, Fraction(3), None, False)  # D' = 30
+    @example([Fraction(1, 4), Fraction(1, 6)], Fraction(3), None, False)  # D' = 2, r = (3, 2)
+    @example([Fraction(3, 7)], Fraction(5), 2, False)  # a single atom
+    @example([Fraction(2, 5), Fraction(3)], Fraction(6), None, False)  # an integer atom
     @settings(max_examples=150, deadline=None)
     def test_same_rows_as_the_sweep(self, plot_spec, atoms, bound, cap, decimal):
         plot_spec.write_text(json.dumps({"schema": 1, "families": [
@@ -369,12 +411,12 @@ class TestScanBudgetParity:
     def test_guard_declines_and_the_sweep_answers(self, monkeypatch):
         monkeypatch.setattr(monoid, "_DEFAULT_BUDGET", VOLUME_BUDGET)
         bound = AT_VOLUME_BOUND + Fraction(1, 600)
-        assert _integer_table(from_generators(HALF_THIRD), bound) is None
+        assert _moduli(from_generators(HALF_THIRD), bound) == ([1, 1], 6)
         assert self._both(bound) == list(range(1, 60))
 
     def test_guard_accepts(self, monkeypatch):
         monkeypatch.setattr(monoid, "_DEFAULT_BUDGET", VOLUME_BUDGET)
-        assert _integer_table(from_generators(HALF_THIRD), AT_VOLUME_BOUND) is not None
+        assert _moduli(from_generators(HALF_THIRD), AT_VOLUME_BOUND) == ([3, 2], 1)
         assert self._both(AT_VOLUME_BOUND) == list(range(1, 60))
 
     def test_negative_bound_keeps_its_error(self, capsys):
@@ -619,9 +661,9 @@ class TestDensityWitness:
         assert r.found and r.ratio == Fraction(2)
 
     def test_filtered_prime_sequence(self):
-        from puiseux.primes import PrimeFilter
+        from puiseux.primes import PrimeFilter, prime_seq
         seq = PrimeFilter.parse("exclude:[3]")
-        r = density_witness(map(lambda n: seq.nth(n), count(1)),
+        r = density_witness(map(lambda n: prime_seq(seq, n, n - 1)[0], count(1)),
                             map(lambda n: 2 * n, count(1)),
                             Fraction(5, 4), Fraction(1, 100), budget_n=100)
         assert r.found and abs(r.ratio - Fraction(5, 4)) < Fraction(1, 100)

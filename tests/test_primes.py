@@ -70,16 +70,16 @@ class TestPrimeFilter:
         with pytest.raises(DomainError, match=f"cannot list {sys.maxsize + 1} primes"):
             prime_seq("all", sys.maxsize + 1)
         with pytest.raises(DomainError, match="cannot list"):
-            PrimeFilter("all").nth(sys.maxsize + 1)
+            prime_seq("all", sys.maxsize + 1, sys.maxsize)
 
-    def test_nth_is_one_indexed(self):
-        assert PrimeFilter.parse("exclude:[3]").nth(2) == 5
-        assert PrimeFilter("all").nth(13) == 41
+    def test_skip_leaves_the_last_primes(self):
+        assert prime_seq(PrimeFilter.parse("exclude:[3]"), 2, 1) == [5]
+        assert prime_seq(PrimeFilter("all"), 13, 12) == [41]
 
     @given(st.integers(1, 60))
-    def test_nth_matches_sequence(self, n):
+    def test_skip_matches_sequence(self, n):
         f = PrimeFilter.parse("odd")
-        assert f.nth(n) == prime_seq(f, n)[-1]
+        assert prime_seq(f, n, n - 1)[0] == prime_seq(f, n)[-1]
 
 
 def _render_exclude(dropped):
@@ -113,7 +113,7 @@ class TestPrimeTable:
         f = PrimeFilter.parse(text)
         assert prime_seq(f, count) == prime_seq(text, count) == expected
         if count:
-            assert f.nth(count) == expected[-1]
+            assert prime_seq(f, count, count - 1)[0] == expected[-1]
 
     @given(st.integers(0, 10 ** 7), st.integers(1, 6))
     @example(65_500, 12)  # runs from the table into the walk
@@ -155,7 +155,7 @@ class TestPrimeTable:
         tracemalloc.start()
         try:
             triples = fam.instantiate(2)
-            nth = PrimeFilter("all").nth(200_000)
+            nth = prime_seq(PrimeFilter("all"), 200_000, 199_999)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -163,10 +163,6 @@ class TestPrimeTable:
         expected = sieve(2_750_161)[-2:]
         assert [p for _n, p, _v in triples] == expected
         assert nth == expected[0]
-
-    def test_nth_rejects_index_zero(self):
-        with pytest.raises(DomainError):
-            PrimeFilter("all").nth(0)
 
 
 class TestNextPrimeAtLeast:
