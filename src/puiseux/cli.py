@@ -36,7 +36,7 @@ from .invariants import (bf_ff_status, decompose_stable_unstable, density_witnes
                          elasticity_set, elasticity_witnesses, monoid_elasticity,
                          plot_points, shifted_lengths)
 from .monoid import classify_stability, contains, truncate
-from .rationals import INFINITY, format_rational, parse_rational
+from .rationals import INFINITY, format_ratio, format_rational, parse_rational
 from .specfile import NumeratorExpr, load_spec, spec_to_json
 
 
@@ -258,15 +258,14 @@ def _cmd_plot(args) -> int:
     except ResourceCapError:
         rows.append("capped,,element enumeration exhausted the work budget")
         return _show(args, None, rows, code=1)
+    # each row from its integers: x = v/D and the elasticity hi/lo; int
+    # true division rounds like float(Fraction(hi, lo))
+    D, decimal = tm.denom_lcm, args.decimal
     for v, lo, hi, marker in points:
-        rho = Fraction(hi, lo)
-        row = f"{format_rational(tm.unscale(v))},{format_rational(rho)},{marker}"
-        if args.decimal:
-            row += f",{float(rho)!r}"
-        rows.append(row)
+        row = f"{format_ratio(v, D)},{format_ratio(hi, lo)},{marker}"
+        rows.append(f"{row},{hi / lo!r}" if decimal else row)
     if capped is not None:
-        rows.append(f"capped,{format_rational(tm.unscale(capped))},"
-                    "factorization cap exceeded")
+        rows.append(f"capped,{format_ratio(capped, D)},factorization cap exceeded")
     return _show(args, None, rows, code=0 if capped is None else 1)
 
 

@@ -57,12 +57,17 @@ coprime denominators have r_i = d_i and D' = 1.
     U = (B + sum a)^k / (k! * prod a).  So when U is at most the
     default sweep budget the sweep could not have raised, and the
     residue table, whose combinations t are the sweep's c = r*t,
-    cannot raise either.
+    cannot raise either.  Conversely the cubes cover the simplex
+    y >= 0, sum y_i*a_i <= B, as floor(y) is such a c, so the sweep
+    takes at least V = B^k / (k! * prod a) steps: when V exceeds the
+    budget the sweep must raise, and its error is raised before any
+    table is built.
 
-    Plot lemmas.  Let D' = 1 and every r_i >= 2, so M is an integer
-    and d_i = r_i.  Rows: plot lists the x with two lengths or more,
-    that is, the (rho, M) with X(M) != m(M), from |rho| + m(M) to
-    |rho| + X(M); M = 0 has the one length 0, so M > 0 on every row.
+    Plot lemmas.  Let D' = 1, so M is an integer and d_i = r_i; an
+    integer atom has d_i = r_i = 1, so rho_i = 0.  Rows: plot lists the
+    x with two lengths or more, that is, the (rho, M) with
+    X(M) != m(M), from |rho| + m(M) to |rho| + X(M); M = 0 has the one
+    length 0, so M > 0 on every row.
     Cap: x has N(M) factorizations.  With M* the least M with
     N(M) > cap, the element M* (rho = 0) is over the cap, and any
     x = R + M with N(M) > cap is at least M >= M*: M* is the first
@@ -70,17 +75,19 @@ coprime denominators have r_i = d_i and D' = 1.
     the gcd of the L_i is 1, a rational y of denominator dividing D is
     an integer iff every y*L_i is.  By the residue lemma,
     (x - a_j)*L_i is (c_i - [i = j])*n_i*L_i/d_i modulo the integers,
-    so x - a_j is an integer iff rho_i = [i = j] mod d_i for every i,
-    iff rho = e_j, as d_j >= 2.  Then x - a_j = M, a positive element.
-    Likewise x is an integer iff rho = 0.  So integer-element is
-    |rho| = 0, shifted-element is |rho| = 1, and other the rest.
+    so x - a_j is an integer iff rho_i = [i = j] mod d_i for every i:
+    iff rho = e_j when d_j >= 2, and then x - a_j = M, a positive
+    element; iff rho = 0 when d_j = 1.  Likewise x is an integer iff
+    rho = 0.  So integer-element is |rho| = 0, shifted-element is
+    |rho| = 1 (rho_j = 1 needs r_j >= 2), and other the rest.
 
 One decision, _moduli, gives (r, D'): the moduli above when k >= 2 and
 the bound passes the volume bound, else r = (1, ..., 1) and D' = D,
 whose table is the sweep's own, error included.  elasticity_set reads
-it by the greedy lemma; plot reads it within the scope of its lemmas
-and without --all, and the sweep otherwise.  So every answer and every
-error is the sweep's.
+it by the greedy lemma; plot reads it within the scope of its lemmas,
+D' = 1 (past the volume bound that is D = 1, where r = (1, ..., 1) are
+the lemma's own moduli), and without --all, and the sweep otherwise.
+So every answer and every error is the sweep's.
 """
 
 from __future__ import annotations
@@ -189,13 +196,21 @@ def _private_moduli(values: list[int]) -> list[int]:
 
 def _sweep_fits(tm: TruncatedMonoid, f: Fraction) -> bool:
     """Whether f >= 0 passes the volume bound of the module docstring,
-    U <= the default budget, so that the sweep up to f cannot raise."""
+    U <= the default budget, so that the sweep up to f cannot raise.
+    Past its lower bound, V > the budget, the sweep must raise, and its
+    budget error is raised here, before any table is built."""
+    if f < 0:
+        return False
     # on integers: f = p/q, and a_i = s_i/D for the scaled atoms s_i,
     # so D^k cancels
     k, p, q = len(tm.atoms), f.numerator, f.denominator
-    return f >= 0 and ((p * tm.denom_lcm + sum(tm.scaled_gens) * q) ** k
-                       <= _as_budget().limit * math.factorial(k)
-                       * math.prod(tm.scaled_gens) * q ** k)
+    budget, pD = _as_budget(), p * tm.denom_lcm
+    room = budget.limit * math.factorial(k) * math.prod(tm.scaled_gens) * q ** k
+    if (pD + sum(tm.scaled_gens) * q) ** k <= room:
+        return True
+    if pD ** k > room:
+        budget.spend(budget.left + 1)  # the sweep's own error
+    return False
 
 
 def _moduli(tm: TruncatedMonoid, f: Fraction) -> tuple[list[int], int]:
@@ -247,7 +262,9 @@ def elasticity_set(tm: TruncatedMonoid, bound) -> list[Fraction]:
         q, top = tm.denom_lcm // Dp, math.floor(f * tm.denom_lcm)
         pairs.update((m + rho, X + rho) for M, (m, X, _n) in table.items()
                      for rho in range(1, _rho_max(items, top - M * q) + 1))
-    return sorted({Fraction(hi, lo) for lo, hi in pairs})
+    # reduced on integers, so one Fraction per distinct value
+    return sorted(Fraction(hi, lo) for lo, hi in
+                  {(lo // g, hi // g) for lo, hi in pairs for g in [math.gcd(lo, hi)]})
 
 
 def elasticity_witnesses(tm: TruncatedMonoid, bound) -> list[Fraction]:
@@ -292,7 +309,7 @@ def plot_points(tm: TruncatedMonoid, bound, cap, every: bool = False):
     from the sweep, whose budget error they raise."""
     f = bound if isinstance(bound, Fraction) else Fraction(bound)
     r, Dp = _moduli(tm, f)
-    if every or Dp > 1 or min(r) == 1:
+    if every or Dp > 1:
         table, points, limit = sweep(tm, f), [], None
         for v, (lo, hi, n) in table.items():
             if not v:

@@ -617,6 +617,50 @@ class TestPlot:
             assert (code, out, err) == (0, expected, "")
 
 
+# runs cli.main with argv and prints its exit code, stdout, stderr, wall
+# time and peak resident set (ru_maxrss, KiB on Linux) as one JSON line
+CHILD_RUN = """
+import contextlib, io, json, resource, sys, time
+from puiseux import cli
+out, err = io.StringIO(), io.StringIO()
+start = time.perf_counter()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "out": out.getvalue(), "err": err.getvalue(),
+                  "seconds": time.perf_counter() - start,
+                  "maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+"""
+BUDGET_ERROR = "error: enumeration exceeded its work budget of 10000000 steps\n"
+
+
+class TestWideBoundsEndAtOnce:
+    """Scans whose bound is past the sweep's lower volume bound end with
+    the budget's error before any table is built.  Each sweep ran 7-10 s
+    and peaked at 650-800 MiB before it reached that error."""
+
+    @pytest.mark.parametrize("name, depth, argv, expected", [
+        ("factorial", 14, ["witnesses", "--bound", "2"], ("", BUDGET_ERROR)),
+        ("primarydense", 30, ["rset", "--bound", "12"], ("", BUDGET_ERROR)),
+        ("primarydense", 30, ["plot", "--bound", "9"],
+         ("element,elasticity,marker\n"
+          "capped,,element enumeration exhausted the work budget\n", "")),
+    ], ids=["witnesses", "rset", "plot"])
+    def test_budget_error_at_once(self, tmp_path, name, depth, argv, expected):
+        pytest.importorskip("resource")
+        spec = _catalog_file(tmp_path, name, depth)
+        src = Path(cli.__file__).resolve().parents[1]
+        run = subprocess.run(
+            [sys.executable, "-c", CHILD_RUN, argv[0], "--spec", spec,
+             "--depth", str(depth), *argv[1:]],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert run.returncode == 0, run.stderr
+        child = json.loads(run.stdout)
+        assert (child["code"], child["out"], child["err"]) == (1, *expected)
+        assert child["seconds"] < 2
+        assert child["maxrss_kib"] < 128 * 1024
+
+
 class TestCapControls:
     def test_env_cap(self, capsys, tmp_path, monkeypatch):
         spec = _catalog_file(tmp_path, "factorial")

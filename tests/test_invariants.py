@@ -419,6 +419,31 @@ class TestScanBudgetParity:
         assert _moduli(from_generators(HALF_THIRD), AT_VOLUME_BOUND) == ([3, 2], 1)
         assert self._both(AT_VOLUME_BOUND) == list(range(1, 60))
 
+    @pytest.mark.parametrize("budget, swept", [(107, False), (108, True)])
+    def test_past_the_lower_volume_bound_nothing_is_built(self, monkeypatch,
+                                                           budget, swept):
+        # up to 6 the sweep of 1/2, 1/3 takes 127 steps, and the lower
+        # bound V = 6^2 / (2! * 1/2 * 1/3) is 108: only a budget below V
+        # raises before any table is built
+        tables = []
+
+        def counted(kernel):
+            def run(*args):
+                tables.append(kernel)
+                return kernel(*args)
+            return run
+        monkeypatch.setattr(monoid, "_DEFAULT_BUDGET", budget)
+        monkeypatch.setattr(invariants, "_coin_table", counted(invariants._coin_table))
+        monkeypatch.setattr(invariants, "sweep", counted(invariants.sweep))
+        tm = from_generators(HALF_THIRD)
+        error = (ResourceCapError, f"enumeration exceeded its work budget of {budget} steps")
+        for scan in (elasticity_set, elasticity_witnesses,
+                     lambda tm, f: plot_points(tm, f, lambda: 1),
+                     lambda tm, f: plot_points(tm, f, lambda: 1, every=True)):
+            assert outcome(scan, tm, Fraction(6)) == error
+            assert bool(tables) == swept
+            tables.clear()
+
     def test_negative_bound_keeps_its_error(self, capsys):
         # the library raises the sweep's DomainError; the CLI rejects a
         # negative --bound before anything is swept
