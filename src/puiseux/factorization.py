@@ -21,8 +21,8 @@ returning silently truncated sets.
 
 length_extremes_up_to reads the shortest and longest factorization of
 every element below a bound off the coin-change table of
-monoid.sweep, without listing any factorization; the elasticity
-scans of invariants read that table, or its integer form, directly.
+monoid.sweep, without listing any factorization; elasticity_set and
+plot_points of invariants read the residue table of the same kernel.
 """
 
 from __future__ import annotations

@@ -63,31 +63,31 @@ coprime denominators have r_i = d_i and D' = 1.
     budget the sweep must raise, and its error is raised before any
     table is built.
 
-    Plot lemmas.  Let D' = 1, so M is an integer and d_i = r_i; an
-    integer atom has d_i = r_i = 1, so rho_i = 0.  Rows: plot lists the
-    x with two lengths or more, that is, the (rho, M) with
-    X(M) != m(M), from |rho| + m(M) to |rho| + X(M); M = 0 has the one
-    length 0, so M > 0 on every row.
+    Plot lemmas.  Rows: plot lists the x with two lengths or more,
+    that is, the (rho, M) with X(M) != m(M), from |rho| + m(M) to
+    |rho| + X(M), and with --all every (rho, M) != (0, 0); M = 0 has
+    the one length 0.  The key M*D' of x is (x*D - R*D)/q, q = D/D'.
     Cap: x has N(M) factorizations.  With M* the least M with
     N(M) > cap, the element M* (rho = 0) is over the cap, and any
     x = R + M with N(M) > cap is at least M >= M*: M* is the first
-    element over the cap, and the rows are the x < M*.  Markers: as
-    the gcd of the L_i is 1, a rational y of denominator dividing D is
-    an integer iff every y*L_i is.  By the residue lemma,
-    (x - a_j)*L_i is (c_i - [i = j])*n_i*L_i/d_i modulo the integers,
-    so x - a_j is an integer iff rho_i = [i = j] mod d_i for every i:
-    iff rho = e_j when d_j >= 2, and then x - a_j = M, a positive
-    element; iff rho = 0 when d_j = 1.  Likewise x is an integer iff
-    rho = 0.  So integer-element is |rho| = 0, shifted-element is
-    |rho| = 1 (rho_j = 1 needs r_j >= 2), and other the rest.
+    element over the cap, and the rows are the x < M*.
+    Markers: an integer element y has every y*L_i an integer, so
+    rho = 0 and y = M; so x - a_j is a nonzero integer element iff D
+    divides (x - a_j)*D > 0 and (x - a_j)*D/q is a key, the direct
+    test.  At D' = 1, M is an integer and d_i = r_i, and the test reads
+    off rho: a y of denominator dividing D is an integer iff every
+    y*L_i is (the L_i have gcd 1), and (x - a_j)*L_i is
+    (c_i - [i = j])*n_i*L_i/d_i modulo the integers, so x - a_j is an
+    integer iff rho = e_j when d_j >= 2, and then x - a_j = M, nonzero
+    iff M > 0; iff rho = 0 when d_j = 1.  Likewise x is an integer iff
+    rho = 0.  So integer-element is |rho| = 0, shifted-element |rho| = 1
+    with M > 0, and other the rest.
 
 One decision, _moduli, gives (r, D'): the moduli above when k >= 2 and
 the bound passes the volume bound, else r = (1, ..., 1) and D' = D,
 whose table is the sweep's own, error included.  elasticity_set reads
-it by the greedy lemma; plot reads it within the scope of its lemmas,
-D' = 1 (past the volume bound that is D = 1, where r = (1, ..., 1) are
-the lemma's own moduli), and without --all, and the sweep otherwise.
-So every answer and every error is the sweep's.
+it by the greedy lemma, plot by the plot lemmas, which hold for any
+D'.  So every answer and every error is the sweep's.
 """
 
 from __future__ import annotations
@@ -284,13 +284,15 @@ def elasticity_witnesses(tm: TruncatedMonoid, bound) -> list[Fraction]:
     return [step * i for i in range(1, f // step + 1)]
 
 
-def _swept_marker(tm: TruncatedMonoid, v: int, table: dict) -> str:
+def _swept_marker(tm: TruncatedMonoid, v: int, table: dict, q: int) -> str:
+    """The marker of the element v/D by the direct test of the plot
+    lemmas, on the residue table keyed by M*D' = M*D/q."""
     D = tm.denom_lcm
     if v % D == 0:
         return "integer-element"
     for s in tm.scaled_gens:
-        r = v - s
-        if r > 0 and r % D == 0 and r in table:
+        w = v - s
+        if w > 0 and w % D == 0 and w // q in table:
             return "shifted-element"
     return "other"
 
@@ -304,32 +306,22 @@ def plot_points(tm: TruncatedMonoid, bound, cap, every: bool = False):
     The marker is integer-element, shifted-element (x - a is a nonzero
     integer in the monoid for an atom a) or other.
 
-    Within the scope of the plot lemmas (module docstring), and
-    without every, the points come from the residue table; otherwise
-    from the sweep, whose budget error they raise."""
+    The points come from the residue table by the plot lemmas (module
+    docstring), and so does the sweep's budget error."""
     f = bound if isinstance(bound, Fraction) else Fraction(bound)
     r, Dp = _moduli(tm, f)
-    if every or Dp > 1:
-        table, points, limit = sweep(tm, f), [], None
-        for v, (lo, hi, n) in table.items():
-            if not v:
-                continue
-            if limit is None:
-                limit = cap()
-            if n > limit:
-                return points, v
-            if lo != hi or every:
-                points.append((v, lo, hi, _swept_marker(tm, v, table)))
-        return points, None
     table = _residue_table(tm, f, r, Dp)
-    D = tm.denom_lcm
-    top, capped = math.floor(f * D), None
-    if f >= tm.min_atom:
-        limit = cap()
-        capped = next((M * D for M, (_m, _X, n) in table.items() if n > limit), None)
-        if capped is not None:
+    D, q = tm.denom_lcm, tm.denom_lcm // Dp
+    # below the least atom the table holds M = 0 alone, with N(0) = 1
+    limit = cap() if f >= tm.min_atom else 1
+    top, capped, ints = math.floor(f * D), None, []
+    for K, (m, X, n) in table.items():
+        if n > limit:
+            capped = K * q
             top = capped - 1
-    ints = [(M * D, m, X) for M, (m, X, _n) in table.items() if m != X and M * D <= top]
+            break
+        if every or m != X:
+            ints.append((K * q, m, X))
     if not ints:
         return [], capped
     # (R*D, |rho|) of the residue vectors that fit below top with some M
@@ -340,9 +332,13 @@ def plot_points(tm: TruncatedMonoid, bound, cap, every: bool = False):
     sums.sort()
     ends = [R for R, _rho in sums]
     points = [(R + v, rho + m, rho + X, "integer-element" if not rho else
-               "shifted-element" if rho == 1 else "other")
+               "shifted-element" if rho == 1 and v else "other")
               for v, m, X in ints for R, rho in sums[:bisect_right(ends, top - v)]]
     points.sort()
+    if every:
+        del points[0]  # (rho, M) = (0, 0), the element 0
+    if Dp > 1:
+        points = [(w, lo, hi, _swept_marker(tm, w, table, q)) for w, lo, hi, _ in points]
     return points, capped
 
 

@@ -17,10 +17,10 @@ table, grown in place one atom at a time, that holds the shortest and
 longest factorization length and the number of factorizations of
 every element up to the bound.  The table is keyed by the elements
 themselves, so it stays desk-scale even when D is astronomically
-large.  The same kernel, with a length per coin, builds the smaller
-table that the elasticity scans and plot read instead when some
-denominator holds a higher power of some prime than all the others
-do (see invariants).
+large.  The same kernel, with a length per coin, builds the residue
+table that rset and plot read (see invariants), smaller than the
+sweep's when some denominator holds a higher power of some prime than
+all the others do.
 """
 
 from __future__ import annotations

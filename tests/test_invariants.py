@@ -286,10 +286,16 @@ class TestPrimaryScans:
         assert _moduli(tm, Fraction(1)) == ([3, 2], 1)
         assert _residue_table(tm, Fraction(1), [3, 2], 1) == {
             0: (0, 0, 1), 1: (2, 3, 2)}
-        assert not plot_sweeps(tm, Fraction(1))
         shared = from_generators(NO_ITEM_ATOMS)
         assert _moduli(shared, Fraction(3)) == ([5, 1, 1, 2], 30)
-        assert plot_sweeps(shared, Fraction(3))
+
+        def no_sweep(*_args, **_kwargs):
+            raise AssertionError("plot_points read the sweep")
+        # plot reads the residue table alone, at D' = 1 and at D' = 30
+        with patch.object(invariants, "sweep", no_sweep):
+            for t, bound in ((tm, Fraction(1)), (shared, Fraction(3))):
+                for every in (False, True):
+                    plot_points(t, bound, lambda: DEFAULT_CAP, every)
 
     @pytest.mark.parametrize("name, depth, bound", [("primarydense", 8, 4),
                                                     ("bfplot", 6, 10)])
@@ -313,20 +319,7 @@ class TestPrimaryScans:
         assert capsys.readouterr().out == expected
 
 
-def plot_sweeps(tm, bound):
-    """Whether plot_points without every reads the sweep, that is,
-    whether tm and bound lie outside the scope of the plot lemmas."""
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return sweep(*args)
-    with patch.object(invariants, "sweep", counted):
-        plot_points(tm, bound, lambda: DEFAULT_CAP)
-    return bool(calls)
-
-
-def swept_plot(tm, bound, cap, decimal):
+def swept_plot(tm, bound, cap, decimal, every):
     """plot's stdout lines and exit code read off the sweep: the
     reference for the rows of the residue table."""
     rows = ["element,elasticity,marker" + (",approx" if decimal else "")]
@@ -341,7 +334,7 @@ def swept_plot(tm, bound, cap, decimal):
         if count > cap:
             return rows + [f"capped,{format_rational(tm.unscale(v))},"
                            "factorization cap exceeded"], 1
-        if lo == hi:
+        if lo == hi and not every:
             continue
         if v % D == 0:
             marker = "integer-element"
@@ -361,33 +354,40 @@ def plot_spec(tmp_path_factory):
 
 
 class TestPlotRows:
-    """plot's rows from the residue table (primary and pairwise coprime
-    truncations) against rows built from the sweep."""
+    """plot's rows from the residue table, with and without --all,
+    against rows built from the sweep."""
 
     @given(st.one_of(primary_atoms(max_size=4, max_numerator=12, primes=PRIMES_TO_31[:6]),
                      pairwise_coprime_atoms(max_size=4, max_value=12), any_gens),
            st.builds(Fraction, st.integers(0, 24), st.integers(1, 4)),
-           st.one_of(st.none(), st.integers(1, 5)), st.booleans())
-    @example(HALF_THIRD, Fraction(4), 2, False)
-    @example([Fraction(1, 2), Fraction(2, 3), Fraction(3, 5)], Fraction(5), None, True)
-    @example(NO_ITEM_ATOMS, Fraction(3), None, False)  # D' = 30
-    @example([Fraction(1, 4), Fraction(1, 6)], Fraction(3), None, False)  # D' = 2, r = (3, 2)
-    @example([Fraction(3, 7)], Fraction(5), 2, False)  # a single atom
-    @example([Fraction(2, 5), Fraction(3)], Fraction(6), None, False)  # an integer atom
+           st.one_of(st.none(), st.integers(1, 5)), st.booleans(), st.booleans())
+    @example(HALF_THIRD, Fraction(4), 2, False, False)
+    @example([Fraction(1, 2), Fraction(2, 3), Fraction(3, 5)], Fraction(5), None, True, False)
+    @example(NO_ITEM_ATOMS, Fraction(3), None, False, False)  # D' = 30
+    @example(NO_ITEM_ATOMS, Fraction(3), None, False, True)
+    @example([Fraction(1, 4), Fraction(1, 6)], Fraction(3), None, False, False)  # D' = 2, r = (3, 2)
+    @example([Fraction(3, 7)], Fraction(5), 2, False, False)  # a single atom
+    @example([Fraction(2, 5), Fraction(3)], Fraction(6), None, False, False)  # an integer atom
+    @example([Fraction(2, 5), Fraction(3)], Fraction(6), None, False, True)
+    # below twice the least atom every row has M = 0, and an atom with
+    # |rho| = 1 is no shift of a nonzero integer element
+    @example(HALF_THIRD, Fraction(1, 2), None, False, True)
+    @example(HALF_THIRD, AT_VOLUME_BOUND + Fraction(1, 600), None, False, True)  # r = 1, D' = D
     @settings(max_examples=150, deadline=None)
-    def test_same_rows_as_the_sweep(self, plot_spec, atoms, bound, cap, decimal):
+    def test_same_rows_as_the_sweep(self, plot_spec, atoms, bound, cap, decimal, every):
         plot_spec.write_text(json.dumps({"schema": 1, "families": [
             {"kind": "explicit", "generators": [format_rational(a) for a in atoms]}]}),
             encoding="utf-8")
         argv = (["plot", "--spec", str(plot_spec), "--bound", format_rational(bound)]
-                + (["--cap", str(cap)] if cap else []) + (["--decimal"] if decimal else []))
+                + (["--cap", str(cap)] if cap else []) + (["--decimal"] if decimal else [])
+                + (["--all"] if every else []))
         out = io.StringIO()
         with patch.object(monoid, "_DEFAULT_BUDGET", VOLUME_BUDGET), \
                 patch.dict("os.environ"), contextlib.redirect_stdout(out):
             os.environ.pop("PUISEUX_CAP", None)
             code = cli.main(argv)
             expected = swept_plot(from_generators(atoms), bound, cap or DEFAULT_CAP,
-                                  decimal)
+                                  decimal, every)
         assert (out.getvalue().splitlines(), code) == expected
 
 
