@@ -438,9 +438,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:
-        print("error: out of memory; try a smaller depth, bound or cap",
-              file=sys.stderr)
-        return 1
+        pass  # its traceback holds the failed run's tables until the handler is left
+    print("error: out of memory; try a smaller depth, bound or cap", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -50,7 +50,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
@@ -204,16 +203,6 @@ class StagedMonoid:
         return self.stages[-1]
 
 
-def _split_in_two(X: int, gens: tuple[int, ...], gen_set: set[int]) -> bool:
-    """Whether the scaled X is a sum of two of the scaled atoms gens
-    (ascending; gen_set holds them).  A split X = A + B has
-    min(A, B) <= X/2, so only the atoms up to X/2 are probed, from X/2
-    down: the construction splits a reducible as a/2 -/+ 1/p, so the
-    lower atom of its pair lies just below X/2."""
-    return any(X - gens[k] in gen_set
-               for k in range(bisect_right(gens, X // 2) - 1, -1, -1))
-
-
 def _adjoin(prev: TruncatedMonoid, pairs) -> TruncatedMonoid:
     """prev with the atom pairs adjoined, each pair's reducible a sum of
     two or more atoms of prev and each prime a prime: on the new scale,
@@ -332,8 +321,9 @@ def bifurcus_verify(sm: StagedMonoid, bound) -> BifurcusVerification:
     factorization.
 
     Nothing is swept: the least nonzero element of a monoid is its
-    least atom, and the reducibles are those the build recorded, each
-    tested for a two-atom split independently of the sweep.
+    least atom, and the reducibles are those the build recorded, struck
+    off by one walk of each stage's two-atom sums on the previous
+    stage's scale, independently of the sweep.
     """
     b = bound if isinstance(bound, Fraction) else Fraction(bound)
     if b.numerator < 0:
@@ -353,19 +343,28 @@ def bifurcus_verify(sm: StagedMonoid, bound) -> BifurcusVerification:
                    if final.scale(a) not in final_atoms})
     atoms_persist_ok = not lost
 
-    # each reducible x of stage j - 1 is x * num / den on stage j's
-    # scale, num and den coprime: an integer iff den divides x
+    # on stage j - 1's scale an atom s of stage j is q + r/num, with
+    # (q, r) = divmod(s * den, num): two atoms sum to an integer there
+    # iff their r are both 0 or sum to num
     uncovered = []
     for j in range(1, len(sm.stages)):
         prev, stage = sm.stages[j - 1], sm.stages[j]
         g = math.gcd(prev.denom_lcm, stage.denom_lcm)
         num, den = stage.denom_lcm // g, prev.denom_lcm // g
-        gens, gen_set = stage.scaled_gens, set(stage.scaled_gens)
-        xs = sm.reducibles[j - 1]  # ascending
-        for x in xs[:bisect_right(xs, math.floor(b * prev.denom_lcm))]:
-            q, r = divmod(x, den)
-            if r or not _split_in_two(q * num, gens, gen_set):
-                uncovered.append((j, prev.unscale(x)))
+        classes: dict[int, list[int]] = {}
+        for s in stage.scaled_gens:  # ascending, so each class is too
+            q, r = divmod(s * den, num)
+            classes.setdefault(r, []).append(q)
+        top = math.floor(b * prev.denom_lcm)
+        left = {x for x in sm.reducibles[j - 1] if x <= top}
+        for r, us in classes.items():
+            ws, carry = classes.get(-r % num, ()), r > 0
+            for i, u in enumerate(us):
+                for w in islice(ws, i if ws is us else 0, None):
+                    if u + w + carry > top:
+                        break
+                    left.discard(u + w + carry)
+        uncovered.extend((j, prev.unscale(x)) for x in sorted(left))
     return BifurcusVerification(bound=b, min_element=min_element, min_ok=min_ok,
                                 atoms_persist_ok=atoms_persist_ok,
                                 lost_atoms=tuple(lost),

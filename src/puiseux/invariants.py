@@ -57,11 +57,13 @@ coprime denominators have r_i = d_i and D' = 1.
     U = (B + sum a)^k / (k! * prod a).  So when U is at most the
     default sweep budget the sweep could not have raised, and the
     residue table, whose combinations t are the sweep's c = r*t,
-    cannot raise either.  Conversely the cubes cover the simplex
-    y >= 0, sum y_i*a_i <= B, as floor(y) is such a c, so the sweep
-    takes at least V = B^k / (k! * prod a) steps: when V exceeds the
-    budget the sweep must raise, and its error is raised before any
-    table is built.
+    cannot raise either.  Conversely, for the m least atoms, the cubes
+    of their combinations cover the simplex y >= 0,
+    sum y_i*a_i <= B, as floor(y) is such a c, so every sweep takes at
+    least V = max over m of B^m / (m! * a_1 * ... * a_m) steps, a
+    running product over the atoms ascending (monoid._past_volume):
+    when V exceeds the budget the sweep must raise, and its error is
+    raised before any table is built.
 
     Plot lemmas.  Rows: plot lists the x with two lengths or more,
     that is, the (rho, M) with X(M) != m(M), from |rho| + m(M) to
@@ -101,7 +103,7 @@ from itertools import accumulate, compress
 from .errors import (DomainError, InsufficientMetadataError, NotAMemberError,
                      SpecValidationError)
 from .monoid import (Feasibility, TruncatedMonoid, WorkBudget, _as_budget,
-                     _coin_table, is_primary, sweep)
+                     _coin_table, _past_volume, is_primary, sweep)
 from .factorization import FactorizationCounts, ResidueSteps
 from .primes import is_prime
 from .rationals import INFINITY, format_rational
@@ -197,20 +199,19 @@ def _private_moduli(values: list[int]) -> list[int]:
 def _sweep_fits(tm: TruncatedMonoid, f: Fraction) -> bool:
     """Whether f >= 0 passes the volume bound of the module docstring,
     U <= the default budget, so that the sweep up to f cannot raise.
-    Past its lower bound, V > the budget, the sweep must raise, and its
-    budget error is raised here, before any table is built."""
+    Past its lower bound V the sweep must raise, and its budget error
+    is raised here, before any table is built."""
     if f < 0:
         return False
+    budget = _as_budget()
+    if _past_volume(tm, f, budget.left):
+        budget.spend(budget.left + 1)  # the sweep's own error
     # on integers: f = p/q, and a_i = s_i/D for the scaled atoms s_i,
     # so D^k cancels
     k, p, q = len(tm.atoms), f.numerator, f.denominator
-    budget, pD = _as_budget(), p * tm.denom_lcm
+    pD = p * tm.denom_lcm
     room = budget.limit * math.factorial(k) * math.prod(tm.scaled_gens) * q ** k
-    if (pD + sum(tm.scaled_gens) * q) ** k <= room:
-        return True
-    if pD ** k > room:
-        budget.spend(budget.left + 1)  # the sweep's own error
-    return False
+    return (pD + sum(tm.scaled_gens) * q) ** k <= room
 
 
 def _moduli(tm: TruncatedMonoid, f: Fraction) -> tuple[list[int], int]:

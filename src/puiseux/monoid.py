@@ -275,8 +275,30 @@ def sweep(tm: TruncatedMonoid, bound, budget=None) -> dict[int, tuple[int, int, 
     f = bound if isinstance(bound, Fraction) else Fraction(bound)
     if f < 0:
         raise DomainError("bound must be nonnegative")
+    budget = _as_budget(budget)
+    if _past_volume(tm, f, budget.left):
+        budget.spend(budget.left + 1)  # the error, before any table is built
     coins = [(s, 1) for s in sorted(tm.scaled_gens, reverse=True)]
-    return _coin_table(coins, math.floor(f * tm.denom_lcm), _as_budget(budget))
+    return _coin_table(coins, math.floor(f * tm.denom_lcm), budget)
+
+
+def _past_volume(tm: TruncatedMonoid, f: Fraction, room: int) -> bool:
+    """Whether the sweep up to f >= 0 must take more than room steps
+    by the lower volume bound V = max over m of
+    f^m / (m! * a_1 * ... * a_m), the atoms ascending (invariants
+    docstring).  Its factors f/(i*a_i) fall as i grows, so V is their
+    running product up to the first factor <= 1; a factor > 1 at m puts
+    a_1, ..., a_m below f/m, so V_m > m^m/m!, and the product passes
+    room within a few dozen factors however many and large the atoms."""
+    p, q = f.numerator * tm.denom_lcm, f.denominator  # f/a_i = p/(q*s_i)
+    num = den = 1
+    for i, s in enumerate(tm.scaled_gens, start=1):
+        if p <= q * i * s:
+            return False
+        num, den = num * p, den * q * i * s
+        if num > room * den:
+            return True
+    return False
 
 
 def _coin_table(coins, limit: int, budget: WorkBudget) -> dict[int, tuple[int, int, int]]:

@@ -74,6 +74,13 @@ def brute_coin_table(coins, limit):
     return table
 
 
+def two_atom_sums(atoms, bound):
+    """Every sum u + w <= bound of two of the atoms, u = w allowed, in
+    plain Fraction arithmetic."""
+    atoms = [Fraction(a) for a in atoms]
+    return {u + w for u in atoms for w in atoms if u + w <= bound}
+
+
 def brute_atoms(generators):
     """Generators admitting no representation of total multiplicity >= 2."""
     gens = sorted(set(Fraction(g) for g in generators))

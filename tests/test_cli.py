@@ -634,9 +634,10 @@ BUDGET_ERROR = "error: enumeration exceeded its work budget of 10000000 steps\n"
 
 
 class TestWideBoundsEndAtOnce:
-    """Scans whose bound is past the sweep's lower volume bound end with
-    the budget's error before any table is built.  Each sweep ran 7-10 s
-    and peaked at 650-800 MiB before it reached that error."""
+    """Sweeps whose bound is past the lower volume bound end with the
+    budget's error before any table is built.  Each scan ran 7-10 s and
+    peaked at 650-800 MiB before it reached that error; the bifurcus
+    build swept its first stage in full before it did."""
 
     @pytest.mark.parametrize("name, depth, argv, expected", [
         ("factorial", 14, ["witnesses", "--bound", "2"], ("", BUDGET_ERROR)),
@@ -644,14 +645,16 @@ class TestWideBoundsEndAtOnce:
         ("primarydense", 30, ["plot", "--bound", "9"],
          ("element,elasticity,marker\n"
           "capped,,element enumeration exhausted the work budget\n", "")),
-    ], ids=["witnesses", "rset", "plot"])
+        (None, None, ["bifurcus", "--stages", "1", "--bound", "3000000"],
+         ("", BUDGET_ERROR)),
+    ], ids=["witnesses", "rset", "plot", "bifurcus"])
     def test_budget_error_at_once(self, tmp_path, name, depth, argv, expected):
         pytest.importorskip("resource")
-        spec = _catalog_file(tmp_path, name, depth)
+        spec = (["--spec", _catalog_file(tmp_path, name, depth), "--depth", str(depth)]
+                if name else [])
         src = Path(cli.__file__).resolve().parents[1]
         run = subprocess.run(
-            [sys.executable, "-c", CHILD_RUN, argv[0], "--spec", spec,
-             "--depth", str(depth), *argv[1:]],
+            [sys.executable, "-c", CHILD_RUN, argv[0], *spec, *argv[1:]],
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": str(src)})
         assert run.returncode == 0, run.stderr
@@ -856,13 +859,24 @@ class TestFailureModes:
         assert _run(capsys, *argv) == (1, "", f"error: {message}\n")
 
     def test_out_of_memory(self, capsys, tmp_path, monkeypatch):
+        # the line is written once the handler is left: until then its
+        # traceback holds the failed run's tables
         def no_memory(*_args):
             raise MemoryError
+        active = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                active.append(sys.exc_info()[0])
+                return super().write(text)
         monkeypatch.setattr("puiseux.cli.truncate", no_memory)
+        monkeypatch.setattr(sys, "stderr", Recorder())
         spec = _write(tmp_path, EXPLICIT_HALF_THIRD)
-        code, out, err = _run(capsys, "atoms", "--spec", spec)
-        assert (code, out) == (1, "")
+        assert cli.main(["atoms", "--spec", spec]) == 1
+        err = sys.stderr.getvalue()
+        assert capsys.readouterr().out == ""
         assert err.startswith("error: out of memory") and "Traceback" not in err
+        assert active and not any(active)
 
     def test_non_member_element(self, capsys, tmp_path):
         spec = _write(tmp_path, EXPLICIT_HALF_THIRD)

@@ -1,11 +1,14 @@
 import hashlib
+import math
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import sieve
+from oracles import sieve, two_atom_sums
 from puiseux import constructions, monoid
 from puiseux.constructions import (BASE_GENERATORS, CATALOG_NAMES, AtomPair,
                                    StagedMonoid, StageRecord, bifurcus_build,
@@ -236,7 +239,55 @@ class TestStageCertificate:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@st.composite
+def hand_built_towers(draw):
+    """(StagedMonoid, bound) that no build makes.  Stage i holds an atom
+    m/q_i for a prime q_i of its own, and pairs a/2 -/+ 1/p with a a sum
+    of the other atoms of stage i - 1, so q_{i-1} divides no denominator
+    of stage i, and no denominator lcm divides the next one's.  The pair
+    parts mostly lie in complementary nonzero classes on the previous
+    scale.  The reducibles are some two-atom sums of the next stage and
+    some integers."""
+    small = st.builds(Fraction, st.integers(1, 9), st.integers(1, 8))
+    stages = []
+    primes = (11, 13, 17)[:draw(st.integers(2, 3))]
+    for i, q in enumerate(primes):
+        gens = {Fraction(draw(st.integers(1, q - 1)), q), *draw(st.lists(small, max_size=3))}
+        base = [x for x in stages[-1].atoms if x.denominator % primes[i - 1]] if i else []
+        for _ in range(draw(st.integers(0, 3)) if base else 0):
+            a = sum(draw(st.lists(st.sampled_from(base), min_size=1, max_size=3)))
+            p = draw(st.sampled_from([19, 23, 29]))
+            if a / 2 > Fraction(1, p):
+                gens |= {a / 2 - Fraction(1, p), a / 2 + Fraction(1, p)}
+        stages.append(from_generators(gens))
+    value_bound = draw(st.builds(Fraction, st.integers(1, 12), st.integers(1, 3)))
+    reducibles = []
+    for prev, stage in zip(stages, stages[1:]):
+        D = prev.denom_lcm
+        top = math.floor(value_bound * D)
+        sums = sorted(x * D for x in two_atom_sums(stage.atoms, value_bound)
+                      if (x * D).denominator == 1)
+        xs = draw(st.lists(st.sampled_from(sums))) if sums else []
+        xs += draw(st.lists(st.integers(1, top))) if top else []
+        reducibles.append(tuple(sorted({int(x) for x in xs})))
+    sm = StagedMonoid(stages=tuple(stages),
+                      records=tuple(StageRecord(j, ()) for j in range(1, len(stages))),
+                      value_bound=value_bound, reducibles=tuple(reducibles))
+    return sm, value_bound * Fraction(draw(st.integers(0, 4)), 4)
+
+
 class TestBifurcusVerify:
+    @given(hand_built_towers())
+    @settings(max_examples=200, deadline=None)
+    def test_uncovered_against_two_atom_sums(self, tower):
+        sm, bound = tower
+        want = []
+        for j, (prev, stage) in enumerate(zip(sm.stages, sm.stages[1:]), start=1):
+            sums = two_atom_sums(stage.atoms, bound)
+            want += [(j, x) for x in (Fraction(v, prev.denom_lcm) for v in sm.reducibles[j - 1])
+                     if x <= bound and x not in sums]
+        assert bifurcus_verify(sm, bound).uncovered == tuple(want)
+
     def test_two_stage_build_verifies(self, monkeypatch):
         sm = bifurcus_build(2, Fraction(3, 2))
 

@@ -8,7 +8,7 @@ from oracles import (brute_atoms, brute_coin_table, brute_elements,
                      brute_factorizations)
 from puiseux.constructions import catalog
 from puiseux.errors import (DomainError, ResourceCapError, SpecValidationError)
-from puiseux.monoid import (TruncatedMonoid, WorkBudget, _coin_table,
+from puiseux.monoid import (TruncatedMonoid, WorkBudget, _coin_table, _past_volume,
                             classify_stability, contains, elements_up_to,
                             from_generators, is_primary, sweep, truncate)
 from puiseux.specfile import parse_spec
@@ -162,6 +162,25 @@ class TestSweep:
             zs = brute_factorizations(tm.atoms, tm.unscale(v))
             lengths = [sum(z) for z in zs]
             assert (lo, hi, count) == (min(lengths), max(lengths), len(zs))
+
+    @given(st.lists(st.builds(Fraction, st.integers(1, 8), st.integers(1, 6)),
+                    min_size=1, max_size=5, unique=True),
+           st.builds(Fraction, st.integers(0, 12), st.integers(1, 4)))
+    @settings(max_examples=100, deadline=None)
+    def test_volume_bound_is_at_most_the_steps(self, gens, bound):
+        tm = from_generators(gens)
+        budget = WorkBudget(10**7)
+        sweep(tm, bound, budget)
+        assert not _past_volume(tm, bound, budget.limit - budget.left)
+
+    def test_past_the_volume_bound_nothing_is_swept(self):
+        # <1/2, 1/3> has about 2.7*10**13 combinations up to 3*10**6: the
+        # budget is spent at once, not one combination at a time
+        tm = from_generators([Fraction(1, 2), Fraction(1, 3)])
+        budget = WorkBudget(10**7)
+        with pytest.raises(ResourceCapError, match="work budget of 10000000 steps"):
+            elements_up_to(tm, 3 * 10**6, budget)
+        assert budget.left == -1
 
     def test_budget_is_the_leaf_count(self):
         # 2 x 3/5 == 3 x 2/5, so the last coin extends entries of count 2
